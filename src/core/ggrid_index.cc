@@ -40,6 +40,19 @@ util::Result<std::unique_ptr<GGridIndex>> GGridIndex::Build(
 util::Result<std::unique_ptr<GGridIndex>> GGridIndex::Build(
     const roadnet::Graph* graph, const GGridOptions& options,
     gpusim::DeviceSet* devices) {
+  GKNN_RETURN_NOT_OK(ValidateOptions(options));  // before partitioning
+  GKNN_ASSIGN_OR_RETURN(
+      GraphGrid grid, GraphGrid::Build(graph, options.delta_c, options.delta_v,
+                                       options.partition));
+  GKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<GGridIndex> index,
+      Build(std::make_shared<const GraphGrid>(std::move(grid)), options,
+            devices));
+  index->counts_host_grid_ = true;
+  return index;
+}
+
+util::Status GGridIndex::ValidateOptions(const GGridOptions& options) {
   if (options.delta_b == 0) {
     return util::Status::InvalidArgument("delta_b must be positive");
   }
@@ -49,12 +62,16 @@ util::Result<std::unique_ptr<GGridIndex>> GGridIndex::Build(
   if (options.rho < 1.0) {
     return util::Status::InvalidArgument("rho must be at least 1");
   }
-  std::unique_ptr<GGridIndex> index(new GGridIndex(graph, options, devices));
+  return util::Status::OK();
+}
 
-  GKNN_ASSIGN_OR_RETURN(
-      GraphGrid grid, GraphGrid::Build(graph, options.delta_c, options.delta_v,
-                                       options.partition));
-  index->grid_ = std::make_unique<GraphGrid>(std::move(grid));
+util::Result<std::unique_ptr<GGridIndex>> GGridIndex::Build(
+    std::shared_ptr<const GraphGrid> grid, const GGridOptions& options,
+    gpusim::DeviceSet* devices) {
+  GKNN_RETURN_NOT_OK(ValidateOptions(options));
+  std::unique_ptr<GGridIndex> index(
+      new GGridIndex(&grid->graph(), options, devices));
+  index->grid_ = std::move(grid);
   index->lists_.resize(index->grid_->num_cells());
 
   // The paper keeps an identical copy of the graph grid in GPU memory
@@ -276,24 +293,14 @@ GGridIndex::QueryKnnBatch(std::span<const roadnet::EdgePoint> locations,
   // Shared pass: clean the union of every query's initial region in one
   // batch (one pipelined transfer + kernel sequence), so per-query
   // cleaning afterwards touches already-compacted lists.
-  std::vector<char> in_union(grid_->num_cells(), 0);
-  std::vector<CellId> union_cells;
-  auto add = [&](CellId c) {
-    if (!in_union[c]) {
-      in_union[c] = 1;
-      union_cells.push_back(c);
-    }
-  };
+  CellRegion union_region(grid_->num_cells());
   for (const roadnet::EdgePoint& q : locations) {
     if (q.edge >= graph_->num_edges()) {
       return util::Status::InvalidArgument("query edge out of range");
     }
-    const CellId cq = grid_->CellOfEdge(q.edge);
-    add(cq);
-    add(grid_->CellOfVertex(graph_->edge(q.edge).target));
-    for (CellId nb : grid_->NeighborCells(cq)) add(nb);
+    union_region.AddInitial(*grid_, q.edge);
   }
-  GKNN_RETURN_NOT_OK(CleanCells(union_cells, t_now));
+  GKNN_RETURN_NOT_OK(CleanCells(union_region.cells(), t_now));
 
   std::vector<std::vector<KnnResultEntry>> results;
   results.reserve(locations.size());
@@ -483,7 +490,7 @@ void GGridIndex::FoldDeviceMetrics() {
 
 GGridIndex::MemoryBreakdown GGridIndex::Memory() const {
   MemoryBreakdown mem;
-  mem.grid_cpu = grid_->MemoryBytes();
+  mem.grid_cpu = counts_host_grid_ ? grid_->MemoryBytes() : 0;
   mem.object_table = object_table_.MemoryBytes();
   mem.message_lists =
       arena_.MemoryBytes() + lists_.size() * sizeof(MessageList);

@@ -48,7 +48,7 @@ class GGridIndex {
  public:
   /// Size report matching Fig. 6's breakdown.
   struct MemoryBreakdown {
-    uint64_t grid_cpu = 0;       // graph grid arrays (host copy)
+    uint64_t grid_cpu = 0;       // graph grid arrays (host copy, if built here)
     uint64_t object_table = 0;   // hash table of latest locations
     uint64_t message_lists = 0;  // bucket arena + list headers
     uint64_t support = 0;        // eager edge->objects registry
@@ -85,6 +85,15 @@ class GGridIndex {
   /// (test_scheduler_differential). The set must outlive the index.
   static util::Result<std::unique_ptr<GGridIndex>> Build(
       const roadnet::Graph* graph, const GGridOptions& options,
+      gpusim::DeviceSet* devices);
+
+  /// As above over an existing host grid, shared with the indexes it was
+  /// built for (ShardRouter's shards partition the graph once). The grid
+  /// must have been built with `options`' delta_c, delta_v and partition
+  /// options. Every device of the set still gets its own mirror; Memory()
+  /// leaves the host grid to the index that built it.
+  static util::Result<std::unique_ptr<GGridIndex>> Build(
+      std::shared_ptr<const GraphGrid> grid, const GGridOptions& options,
       gpusim::DeviceSet* devices);
 
   /// Ingests one location update (paper Algorithm 1): appends the message
@@ -156,6 +165,7 @@ class GGridIndex {
   const Counters& counters() const { return counters_; }
   const EngineCounters& engine_counters() const { return engine_->counters(); }
   const GraphGrid& grid() const { return *grid_; }
+  std::shared_ptr<const GraphGrid> shared_grid() const { return grid_; }
   const ObjectTable& object_table() const { return object_table_; }
   const GGridOptions& options() const { return options_; }
   /// Device 0 of the set (the only device in single-device builds).
@@ -195,6 +205,8 @@ class GGridIndex {
   GGridIndex(const roadnet::Graph* graph, const GGridOptions& options,
              gpusim::DeviceSet* devices);
 
+  static util::Status ValidateOptions(const GGridOptions& options);
+
   const roadnet::Graph* graph_;
   GGridOptions options_;
   /// Owned only by the single-device Build form (wraps the caller's
@@ -203,7 +215,10 @@ class GGridIndex {
   gpusim::DeviceSet* devices_;
   std::unique_ptr<gpusim::Scheduler> scheduler_;
 
-  std::unique_ptr<GraphGrid> grid_;
+  std::shared_ptr<const GraphGrid> grid_;
+  /// True for the index that built the grid; indexes it is shared with
+  /// leave it out of Memory().
+  bool counts_host_grid_ = false;
   /// Device-resident grid mirror, one per device of the set (§III-A: the
   /// grid is replicated, objects/messages are partitioned by cell).
   std::vector<gpusim::DeviceBuffer<uint8_t>> grid_gpu_copies_;

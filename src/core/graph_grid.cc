@@ -122,4 +122,19 @@ uint64_t GraphGrid::MemoryBytes() const {
          neighbor_cells_.size() * sizeof(CellId);
 }
 
+void CellRegion::AddInitial(const GraphGrid& grid, roadnet::EdgeId edge) {
+  const CellId query_cell = grid.CellOfEdge(edge);
+  Add(query_cell);
+  Add(grid.CellOfVertex(grid.graph().edge(edge).target));
+  for (CellId c : grid.NeighborCells(query_cell)) Add(c);
+}
+
+bool CellRegion::AddRing(const GraphGrid& grid, size_t from) {
+  const size_t before = cells_.size();
+  for (size_t i = from; i < before; ++i) {
+    for (CellId c : grid.NeighborCells(cells_[i])) Add(c);
+  }
+  return cells_.size() > before;
+}
+
 }  // namespace gknn::core

@@ -133,6 +133,44 @@ class GraphGrid {
   std::vector<CellId> neighbor_cells_;
 };
 
+/// A query's candidate region L (paper §V-A): grid cells in the order they
+/// joined, with O(1) membership. Membership is epoch-stamped, so Clear()
+/// costs O(1) and one region is recycled across queries.
+class CellRegion {
+ public:
+  explicit CellRegion(uint32_t num_cells) : epoch_of_(num_cells, 0) {}
+
+  void Clear() {
+    ++epoch_;
+    cells_.clear();
+  }
+
+  bool Contains(CellId c) const { return epoch_of_[c] == epoch_; }
+  const std::vector<CellId>& cells() const { return cells_; }
+  size_t size() const { return cells_.size(); }
+
+  /// Adds the initial region of a query on `edge`: the edge's cell, the
+  /// cell of the edge's target (where GPU_SDist is seeded) and the edge
+  /// cell's neighbors.
+  void AddInitial(const GraphGrid& grid, roadnet::EdgeId edge);
+
+  /// Grows the region by one ring: the neighbors of cells()[from..) that
+  /// are not yet members. Returns false when nothing was added (the region
+  /// covers everything reachable through the cell neighborhood).
+  bool AddRing(const GraphGrid& grid, size_t from);
+
+ private:
+  void Add(CellId c) {
+    if (Contains(c)) return;
+    epoch_of_[c] = epoch_;
+    cells_.push_back(c);
+  }
+
+  std::vector<uint64_t> epoch_of_;
+  uint64_t epoch_ = 1;  // a fresh region is empty
+  std::vector<CellId> cells_;
+};
+
 }  // namespace gknn::core
 
 #endif  // GKNN_CORE_GRAPH_GRID_H_

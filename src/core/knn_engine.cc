@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
-#include <set>
 
 #include "gpusim/device_buffer.h"
 #include "gpusim/fault_injector.h"
 #include "gpusim/scan.h"
 #include "gpusim/topk.h"
-#include "util/min_heap.h"
 #include "util/timer.h"
 
 namespace gknn::core {
@@ -26,37 +23,8 @@ using roadnet::VertexId;
 
 namespace {
 
-/// Shrinking kNN bound over *distinct* objects: the kth-smallest of each
-/// known object's best distance. An upper bound on the true kth distance,
-/// so using it as a search radius never cuts off a result; dedup matters —
-/// counting one object twice would tighten the bound incorrectly.
-class KthBound {
- public:
-  explicit KthBound(uint32_t k) : k_(k) {}
-
-  void Offer(ObjectId object, roadnet::Distance d) {
-    auto [it, inserted] = best_.emplace(object, d);
-    if (!inserted) {
-      if (d >= it->second) return;
-      values_.erase(values_.find(it->second));
-      it->second = d;
-    }
-    values_.insert(d);
-    if (values_.size() >= k_) {
-      auto kth = values_.begin();
-      std::advance(kth, k_ - 1);
-      threshold_ = *kth;
-    }
-  }
-
-  roadnet::Distance threshold() const { return threshold_; }
-
- private:
-  uint32_t k_;
-  std::unordered_map<ObjectId, roadnet::Distance> best_;
-  std::multiset<roadnet::Distance> values_;
-  roadnet::Distance threshold_ = roadnet::kInfiniteDistance - 1;
-};
+/// A refinement seed: a vertex and its distance from the query.
+using Seed = std::pair<VertexId, Distance>;
 
 /// Cooperative cancellation checkpoint (docs/ROBUSTNESS.md "Overload
 /// control"): consulted between pipeline phases. Returning the error from
@@ -82,7 +50,115 @@ double RhoK(const GGridOptions& options, uint32_t k,
   return rho * static_cast<double>(k);
 }
 
+/// Distance from the query straight along its own edge to `offset` on
+/// `edge`: finite only ahead of the query on that edge, the one route that
+/// does not pass through the edge's target.
+Distance AlongEdgeDistance(EdgePoint location, EdgeId edge, uint32_t offset) {
+  return edge == location.edge && offset >= location.offset
+             ? offset - location.offset
+             : kInfiniteDistance;
+}
+
+/// Distance from the query to the object of candidate `m`, given the SDist
+/// label of its edge's source (kInfiniteDistance outside the region). The
+/// GPU_First_k kernel and a range query's host filter share it.
+Distance CandidateDistance(EdgePoint location, const Message& m,
+                           Distance source_label) {
+  const Distance via_source = source_label != kInfiniteDistance
+                                  ? source_label + m.offset
+                                  : kInfiniteDistance;
+  return std::min(via_source, AlongEdgeDistance(location, m.edge, m.offset));
+}
+
+/// GPU_Unresolved's predicate, shared by the kernel and a range query's
+/// host scan: region vertex `v` is unresolved when its label is below the
+/// bound and an out-edge leaves the region, so a closer object could lie
+/// beyond it.
+bool IsUnresolved(const GraphGrid& grid, const CellRegion& region,
+                  VertexId v, Distance label, Distance bound) {
+  if (label >= bound) return false;
+  const roadnet::Graph& graph = grid.graph();
+  for (EdgeId id : graph.OutEdgeIds(v)) {
+    if (!region.Contains(grid.CellOfVertex(graph.edge(id).target))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The device, transfer and simulator clocks of one device (all zero for
+/// the CPU path), read before and after an attempt.
+struct DeviceClocks {
+  gpusim::TransferLedger::Totals ledger;
+  double modeled_seconds = 0;
+  double sim_wall_seconds = 0;
+
+  static DeviceClocks Read(const gpusim::Device* device) {
+    if (device == nullptr) return DeviceClocks{};
+    return DeviceClocks{device->ledger().totals(), device->ClockSeconds(),
+                        device->sim_wall_seconds()};
+  }
+};
+
 }  // namespace
+
+/// The answer an attempt accumulates: each offered object's best distance
+/// and the radius the refinement searches to. A range answer's radius is
+/// fixed and it ignores offers beyond it. A kNN answer's radius is the kth
+/// smallest best distance over *distinct* objects — unbounded until k
+/// objects are known, then shrinking as closer ones are found — so a kNN
+/// query is a range query whose radius is its running kth-best bound.
+/// Counting an object once matters: offering one object twice must not
+/// tighten the bound.
+class KnnEngine::Answer {
+ public:
+  static Answer Knn(uint32_t k) { return Answer(k, kInfiniteDistance); }
+  static Answer Range(Distance radius) { return Answer(0, radius); }
+
+  bool is_knn() const { return k_ > 0; }
+  uint32_t k() const { return k_; }
+  Distance threshold() const { return threshold_; }
+
+  /// Records `d` as a distance to `object`; returns true when the object
+  /// is new to the answer.
+  bool Offer(ObjectId object, Distance d) {
+    if (!is_knn() && d > threshold_) return false;
+    auto [it, inserted] = best_.emplace(object, d);
+    if (!inserted) {
+      if (d >= it->second) return false;
+      if (is_knn()) {
+        values_.erase(
+            std::lower_bound(values_.begin(), values_.end(), it->second));
+      }
+      it->second = d;
+    }
+    if (is_knn()) {
+      values_.insert(std::upper_bound(values_.begin(), values_.end(), d), d);
+      if (values_.size() >= k_) threshold_ = values_[k_ - 1];
+    }
+    return inserted;
+  }
+
+  /// The answer in KnnResultEntry order, cut to k for kNN.
+  std::vector<KnnResultEntry> Take() {
+    std::vector<KnnResultEntry> out;
+    out.reserve(best_.size());
+    for (const auto& [object, d] : best_) out.push_back({object, d});
+    const size_t keep =
+        is_knn() ? std::min<size_t>(k_, out.size()) : out.size();
+    std::partial_sort(out.begin(), out.begin() + keep, out.end());
+    out.resize(keep);
+    return out;
+  }
+
+ private:
+  Answer(uint32_t k, Distance threshold) : k_(k), threshold_(threshold) {}
+
+  uint32_t k_;  // 0 for a range answer
+  Distance threshold_;
+  std::unordered_map<ObjectId, Distance> best_;
+  std::vector<Distance> values_;  // kNN: every object's best, ascending
+};
 
 KnnEngine::KnnEngine(gpusim::Device* device, const GraphGrid* grid,
                      MessageCleaner* cleaner, BucketArena* arena,
@@ -97,31 +173,26 @@ KnnEngine::KnnEngine(gpusim::Device* device, const GraphGrid* grid,
       lists_(lists),
       object_table_(object_table),
       objects_on_edge_(objects_on_edge),
-      options_(options) {
-  // One workspace up front: the common single-threaded case then never
-  // allocates on the query path, only recycles through the freelist.
-  free_workspaces_.push_back(
-      std::make_unique<QueryWorkspace>(&grid_->graph()));
+      options_(options),
+      workspaces_([grid] { return std::make_unique<QueryWorkspace>(grid); },
+                  /*prebuilt=*/1) {}
+
+util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
+    EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
+    ExecMode mode, const QueryControl* control) {
+  if (k == 0) return util::Status::InvalidArgument("k must be positive");
+  return Run(location, Answer::Knn(k), t_now, stats, mode, control);
 }
 
-std::unique_ptr<KnnEngine::QueryWorkspace> KnnEngine::AcquireWorkspace() {
-  {
-    util::lockdep::MutexLock lock(ws_mu_);
-    if (!free_workspaces_.empty()) {
-      std::unique_ptr<QueryWorkspace> ws = std::move(free_workspaces_.back());
-      free_workspaces_.pop_back();
-      return ws;
-    }
-  }
-  return std::make_unique<QueryWorkspace>(&grid_->graph());
+util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRange(
+    EdgePoint location, Distance radius, double t_now, KnnStats* stats,
+    ExecMode mode, const QueryControl* control) {
+  return Run(location, Answer::Range(radius), t_now, stats, mode, control);
 }
 
-void KnnEngine::ReleaseWorkspace(std::unique_ptr<QueryWorkspace> workspace) {
-  util::lockdep::MutexLock lock(ws_mu_);
-  free_workspaces_.push_back(std::move(workspace));
-}
-
-util::Status KnnEngine::ValidateLocation(EdgePoint location) const {
+util::Result<std::vector<KnnResultEntry>> KnnEngine::Run(
+    EdgePoint location, const Answer& empty, double t_now, KnnStats* stats,
+    ExecMode mode, const QueryControl* control) {
   const roadnet::Graph& graph = grid_->graph();
   if (location.edge >= graph.num_edges()) {
     return util::Status::InvalidArgument("query edge out of range");
@@ -129,18 +200,9 @@ util::Status KnnEngine::ValidateLocation(EdgePoint location) const {
   if (location.offset > graph.edge(location.edge).weight) {
     return util::Status::InvalidArgument("query offset beyond edge weight");
   }
-  return util::Status::OK();
-}
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
-    EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
-    ExecMode mode, const QueryControl* control) {
-  if (k == 0) return util::Status::InvalidArgument("k must be positive");
-  GKNN_RETURN_NOT_OK(ValidateLocation(location));
   GKNN_RETURN_NOT_OK(CheckBudget(control, "admission"));
 
-  WorkspaceLease lease(this);
-  QueryWorkspace& ws = *lease;
+  util::ObjectPool<QueryWorkspace>::Lease ws = workspaces_.Acquire();
 
   KnnStats local_stats;
   KnnStats* st = stats != nullptr ? stats : &local_stats;
@@ -150,7 +212,8 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
   if (trace != nullptr) {
     record.query_id = tracer_->NextQueryId();
     record.t_query = t_now;
-    record.k = k;
+    record.k = empty.k();
+    record.range = !empty.is_knn();
     record.exec_mode = static_cast<uint8_t>(mode);
     total = tracer_->StartTotal(trace);
   }
@@ -167,10 +230,19 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
     }
     return result;
   };
+  // One attempt on `device` (null: the CPU-only path), on a fresh answer.
+  auto attempt = [&](gpusim::Device* device, uint32_t device_index,
+                     obs::QueryTraceRecord* attempt_trace)
+      -> util::Result<std::vector<KnnResultEntry>> {
+    Answer answer = empty;
+    GKNN_RETURN_NOT_OK(RunPipeline(device, device_index, location, t_now,
+                                   answer, *st, attempt_trace, *ws, control));
+    return answer.Take();
+  };
 
   if (mode == ExecMode::kCpuOnly) {
     ++counters_.cpu_queries;
-    return finish(QueryCpu(location, k, t_now, st, trace, ws, control));
+    return finish(attempt(nullptr, 0, trace));
   }
   // One GPU attempt: lease a device from the scheduler (or pin to the
   // construction-time device without one), run the pipeline there, and
@@ -179,17 +251,13 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
   uint32_t last_device = 0;
   auto gpu_attempt =
       [&](bool avoid_last) -> util::Result<std::vector<KnnResultEntry>> {
-    if (scheduler_ == nullptr) {
-      last_device = 0;
-      return QueryGpu(device_, 0, location, k, t_now, st, trace, ws, control);
-    }
+    if (scheduler_ == nullptr) return attempt(device_, 0, trace);
     gpusim::Scheduler::Lease sched_lease =
         avoid_last ? scheduler_->AcquireAvoiding(last_device)
                    : scheduler_->Acquire();
     last_device = sched_lease.device_index();
     util::Result<std::vector<KnnResultEntry>> r =
-        QueryGpu(sched_lease.device(), sched_lease.device_index(), location, k,
-                 t_now, st, trace, ws, control);
+        attempt(sched_lease.device(), sched_lease.device_index(), trace);
     scheduler_->ReportResult(sched_lease.device_index(),
                              !r.ok() && gpusim::IsDeviceError(r.status()));
     return r;
@@ -221,68 +289,69 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
       // The re-run traces as one kFallback phase; its inner phases get a
       // null record so the fallback span alone accounts for the time.
       obs::Span fallback = PhaseSpan(trace, obs::Phase::kFallback);
-      result = QueryCpu(location, k, t_now, st, nullptr, ws, control);
+      result = attempt(nullptr, 0, nullptr);
       fallback.Stop();
     }
   }
   return finish(std::move(result));
 }
 
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
-    gpusim::Device* device, uint32_t device_index, EdgePoint location,
-    uint32_t k, double t_now, KnnStats* stats, obs::QueryTraceRecord* trace,
-    QueryWorkspace& ws, const QueryControl* control) {
+util::Status KnnEngine::RunPipeline(gpusim::Device* device,
+                                    uint32_t device_index, EdgePoint location,
+                                    double t_now, Answer& answer,
+                                    KnnStats& st,
+                                    obs::QueryTraceRecord* trace,
+                                    QueryWorkspace& ws,
+                                    const QueryControl* control) {
   const roadnet::Graph& graph = grid_->graph();
   const Edge& query_edge = graph.edge(location.edge);
+  const bool on_gpu = device != nullptr;
+  const util::Deadline* deadline =
+      control != nullptr ? &control->deadline : nullptr;
 
-  KnnStats local_stats;
-  KnnStats& st = stats != nullptr ? *stats : local_stats;
   st = KnnStats{};
-  const auto ledger_before = device->ledger().totals();
-  const double device_clock_before = device->ClockSeconds();
-  const double sim_wall_before = device->sim_wall_seconds();
+  st.cpu_fallback = !on_gpu;
+  // Fresh region, labels and seeds: a CPU attempt must not prune its
+  // refinement against the SDist labels of this workspace's last query.
+  ws.BeginAttempt();
+  const DeviceClocks clocks_before = DeviceClocks::Read(device);
   util::Timer cpu_timer;
 
   // ---- Step 1 (Alg. 4 lines 1-4): candidate cells + message cleaning -----
-  obs::Span expand_span = PhaseSpan(trace, obs::Phase::kExpand);
-  std::vector<char> in_l(grid_->num_cells(), 0);
-  std::vector<CellId> l_cells;
-  auto add_cell = [&](CellId c) {
-    if (!in_l[c]) {
-      in_l[c] = 1;
-      l_cells.push_back(c);
-    }
-  };
-  const CellId query_cell = grid_->CellOfEdge(location.edge);
-  add_cell(query_cell);
-  // The SDist seed vertex is the query edge's target; make sure its cell is
-  // part of the examined region.
-  add_cell(grid_->CellOfVertex(query_edge.target));
-  for (CellId c : grid_->NeighborCells(query_cell)) add_cell(c);
+  // A kNN query on the GPU grows rings until the region holds rho*k
+  // candidates; a range query and the CPU path clean the initial region
+  // only (everything beyond it is reached by the refinement).
+  CellRegion& region = ws.region;
+  obs::Span expand_span = PhaseSpan(on_gpu ? trace : nullptr,
+                                    obs::Phase::kExpand);
+  region.AddInitial(*grid_, location.edge);
   expand_span.Stop();
   GKNN_RETURN_NOT_OK(CheckBudget(control, "expand"));
 
   std::vector<Message> candidates;
-  size_t clean_from = 0;     // cells in l_cells[clean_from..) not yet cleaned
-  size_t frontier_from = 0;  // cells added in the previous ring
-  const double rho_k = RhoK(*options_, k, control);
+  const double rho_k =
+      on_gpu && answer.is_knn() ? RhoK(*options_, answer.k(), control) : 0.0;
+  size_t clean_from = 0;  // cells in region[clean_from..) not yet cleaned
   for (;;) {
-    const std::span<const CellId> to_clean(l_cells.data() + clean_from,
-                                           l_cells.size() - clean_from);
-    frontier_from = clean_from;
-    clean_from = l_cells.size();
+    const size_t ring_from = clean_from;
+    const std::span<const CellId> to_clean(region.cells().data() + clean_from,
+                                           region.size() - clean_from);
+    clean_from = region.size();
     obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
     GKNN_ASSIGN_OR_RETURN(
         MessageCleaner::Outcome outcome,
-        cleaner_->Clean(to_clean, t_now, arena_, lists_, device_index,
-                        control != nullptr ? &control->deadline : nullptr));
+        on_gpu ? cleaner_->Clean(to_clean, t_now, arena_, lists_,
+                                 device_index, deadline)
+               : cleaner_->CleanCpu(to_clean, t_now, arena_, lists_));
     clean_span.Stop();
     if (trace != nullptr) {
       trace->cells_cleaned += outcome.cells_cleaned;
-      trace->messages_shipped += outcome.messages_shipped;
-      if (outcome.messages_shipped > outcome.latest.size()) {
-        trace->messages_deduped += static_cast<uint32_t>(
-            outcome.messages_shipped - outcome.latest.size());
+      if (on_gpu) {
+        trace->messages_shipped += outcome.messages_shipped;
+        if (outcome.messages_shipped > outcome.latest.size()) {
+          trace->messages_deduped += static_cast<uint32_t>(
+              outcome.messages_shipped - outcome.latest.size());
+        }
       }
     }
     st.clean_pipeline_seconds += outcome.pipeline_seconds;
@@ -296,262 +365,266 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
     // Expand one ring: neighbors(L) \ L. Only the previous ring can
     // contribute new neighbors.
     obs::Span ring_span = PhaseSpan(trace, obs::Phase::kExpand);
-    const size_t before = l_cells.size();
-    for (size_t i = frontier_from; i < before; ++i) {
-      for (CellId nb : grid_->NeighborCells(l_cells[i])) add_cell(nb);
-    }
-    if (l_cells.size() == before) break;  // the whole grid is covered
+    if (!region.AddRing(*grid_, ring_from)) break;  // whole grid covered
     ++st.expansion_rounds;
   }
-  st.cells_examined = static_cast<uint32_t>(l_cells.size());
+  st.cells_examined = static_cast<uint32_t>(region.size());
   st.candidate_objects = static_cast<uint32_t>(candidates.size());
 
-  // ---- Step 2a (Alg. 5): GPU_SDist over the candidate cells' vertices ----
-  obs::Span sdist_span = PhaseSpan(trace, obs::Phase::kSdist);
-  std::vector<VertexId> region_vertices;
-  for (CellId c : l_cells) grid_->AppendCellVertices(c, &region_vertices);
-  st.candidate_vertices = static_cast<uint32_t>(region_vertices.size());
-
-  ++ws.query_epoch;
-  for (uint32_t i = 0; i < region_vertices.size(); ++i) {
-    ws.local_id_of_vertex[region_vertices[i]] = i;
-    ws.local_id_epoch[region_vertices[i]] = ws.query_epoch;
-  }
-  // Local id of a vertex, or kInvalidVertex when it is outside the region.
-  auto local_of = [&](VertexId v) -> uint32_t {
-    return ws.local_id_epoch[v] == ws.query_epoch ? ws.local_id_of_vertex[v]
-                                                  : kInvalidVertex;
-  };
-
-  GKNN_ASSIGN_OR_RETURN(auto device_dist,
-                        DeviceBuffer<Distance>::Allocate(
-                            device, region_vertices.size(), "D"));
-  {
-    std::vector<Distance> init(region_vertices.size(), kInfiniteDistance);
-    const uint32_t seed = local_of(query_edge.target);
-    if (seed != kInvalidVertex) {
-      init[seed] = query_edge.weight - location.offset;
+  // The refinement's seeds and, on the GPU, the SDist labels its prune
+  // reads. The CPU path has no SDist region: its one seed is the query
+  // edge's target, every route but the along-edge one passing through it.
+  std::vector<Seed> seeds;
+  DeviceBuffer<Distance> device_dist;
+  std::span<const Distance> sdist;
+  if (on_gpu) {
+    // ---- Step 2a (Alg. 5): GPU_SDist over the candidate cells' vertices -
+    obs::Span sdist_span = PhaseSpan(trace, obs::Phase::kSdist);
+    std::vector<VertexId> region_vertices;
+    for (CellId c : region.cells()) {
+      grid_->AppendCellVertices(c, &region_vertices);
     }
-    GKNN_RETURN_NOT_OK(device_dist.Upload(init).status());
-  }
-  // gknn-lint: allow(device-span): host reads D only after the kernels
-  // complete; in-kernel accesses go through the checked Load/AtomicMin.
-  auto dist_span = device_dist.device_span();
+    st.candidate_vertices = static_cast<uint32_t>(region_vertices.size());
+    for (uint32_t i = 0; i < region_vertices.size(); ++i) {
+      ws.local_id_of_vertex[region_vertices[i]] = i;
+      ws.local_id_epoch[region_vertices[i]] = ws.query_epoch;
+    }
+    GKNN_ASSIGN_OR_RETURN(device_dist,
+                          DeviceBuffer<Distance>::Allocate(
+                              device, region_vertices.size(), "D"));
+    {
+      std::vector<Distance> init(region_vertices.size(), kInfiniteDistance);
+      const uint32_t seed = ws.LocalId(query_edge.target);
+      if (seed != kInvalidVertex) {
+        init[seed] = query_edge.weight - location.offset;
+      }
+      GKNN_RETURN_NOT_OK(device_dist.Upload(init).status());
+    }
+    // gknn-lint: allow(device-span): host reads D only after the kernels
+    // complete; in-kernel accesses go through the checked Load/AtomicMin.
+    sdist = device_dist.device_span();
 
-  // One thread per vertex entry (real or virtual); each relaxes the
-  // delta_v in-edges it stores, with a device-wide barrier per round.
-  // Distinct threads can touch the same D entry within a round — a virtual
-  // continuation slot shares its destination vertex with the real entry,
-  // and every thread reads the labels of its sources while their owners
-  // rewrite them — so the relaxation lowers D through AtomicMin, exactly
-  // like a real CUDA Bellman-Ford kernel. The plain Load of a source label
-  // beside those atomics reads some settled value of the round; either
-  // value keeps the label an upper bound that the fixpoint iteration
-  // finishes off.
-  struct SlotRef {
-    CellId cell;
-    uint32_t slot;
-  };
-  std::vector<SlotRef> slots;
-  for (CellId c : l_cells) {
-    for (uint32_t i = 0; i < grid_->NumSlots(c); ++i) {
-      slots.push_back(SlotRef{c, i});
-    }
-  }
-  GKNN_ASSIGN_OR_RETURN(
-      const auto sdist_stats,
-      device->LaunchIterative(
-      "GPU_SDist", static_cast<uint32_t>(slots.size()),
-      /*max_iters=*/std::max<uint32_t>(1, st.candidate_vertices),
-      options_->sdist_early_exit,
-      [this, &slots, &local_of, &device_dist](ThreadCtx& ctx, uint32_t) {
-        const SlotRef ref = slots[ctx.thread_id];
-        const GraphGrid::VertexSlot& slot = grid_->Slot(ref.cell, ref.slot);
-        bool changed = false;
-        if (!slot.empty()) {
-          const uint32_t self = local_of(slot.vertex);
-          for (const GraphGrid::EdgeEntry& e :
-               grid_->SlotEdges(ref.cell, ref.slot)) {
-            const uint32_t src = local_of(e.source);
-            if (src == kInvalidVertex) continue;  // edge from outside L
-            const Distance d = device_dist.Load(ctx, src);
-            if (d != kInfiniteDistance &&
-                device_dist.AtomicMin(ctx, self, d + e.weight) >
-                    d + e.weight) {
-              changed = true;
-            }
-          }
-        }
-        ctx.CountOps(grid_->delta_v());
-        return changed;
-      }));
-  st.sdist_iterations = sdist_stats.iterations;
-  sdist_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "sdist"));
-
-  // ---- Step 2b: GPU_First_k — candidate distances + k smallest -----------
-  obs::Span topk_span = PhaseSpan(trace, obs::Phase::kTopk);
-  auto object_distance = [&graph, &local_of, &device_dist, location](
-                             ThreadCtx& ctx, const Message& m) -> Distance {
-    const Edge& e = graph.edge(m.edge);
-    Distance d = kInfiniteDistance;
-    const uint32_t src = local_of(e.source);
-    if (src != kInvalidVertex) {
-      const Distance ds = device_dist.Load(ctx, src);
-      if (ds != kInfiniteDistance) d = ds + m.offset;
-    }
-    if (m.edge == location.edge && m.offset >= location.offset) {
-      // Object ahead of the query on the same edge: direct along-edge path.
-      d = std::min<Distance>(d, m.offset - location.offset);
-    }
-    return d;
-  };
-
-  // Per-candidate distance entries, computed and selected on the device.
-  // Ties break by object id before buffer position, so the selected
-  // *objects* do not depend on the order cleaning emitted the candidates
-  // in — a concurrent run and its single-threaded replay pick the same
-  // winners.
-  struct DistEntry {
-    Distance distance = kInfiniteDistance;
-    ObjectId object = std::numeric_limits<ObjectId>::max();
-    uint32_t index = std::numeric_limits<uint32_t>::max();
-    bool operator<(const DistEntry& other) const {
-      if (distance != other.distance) return distance < other.distance;
-      if (object != other.object) return object < other.object;
-      return index < other.index;
-    }
-  };
-  std::vector<KnnResultEntry> candidate_topk;
-  if (!candidates.empty()) {
-    GKNN_ASSIGN_OR_RETURN(auto device_entries,
-                          DeviceBuffer<DistEntry>::Allocate(
-                              device, candidates.size(), "entries"));
-    // gknn-lint: allow(device-span): handed to gpusim::TopKSmallest, which
-    // performs its own checked accesses.
-    auto entry_span = device_entries.device_span();
-    GKNN_RETURN_NOT_OK(
-        device
-            ->Launch("GPU_First_k/distances",
-                     static_cast<uint32_t>(candidates.size()),
-                     [&candidates, &device_entries,
-                      &object_distance](ThreadCtx& ctx) {
-                       const Message& m = candidates[ctx.thread_id];
-                       device_entries.Store(
-                           ctx, ctx.thread_id,
-                           DistEntry{object_distance(ctx, m), m.object,
-                                     ctx.thread_id});
-                       ctx.CountOps(2);
-                     })
-            .status());
-    // GPU_First_k: warp-bitonic k-smallest selection on the device; the k
-    // winners come back to the host (charged inside TopKSmallest).
-    GKNN_ASSIGN_OR_RETURN(const auto selected,
-                          gpusim::TopKSmallest<DistEntry>(
-                              device, entry_span, k, DistEntry{}));
-    for (const DistEntry& e : selected) {
-      if (e.distance != kInfiniteDistance) {
-        candidate_topk.push_back(
-            KnnResultEntry{candidates[e.index].object, e.distance});
+    // One thread per vertex entry (real or virtual); each relaxes the
+    // delta_v in-edges it stores, with a device-wide barrier per round.
+    // Distinct threads can touch the same D entry within a round — a
+    // virtual continuation slot shares its destination vertex with the
+    // real entry, and every thread reads the labels of its sources while
+    // their owners rewrite them — so the relaxation lowers D through
+    // AtomicMin, exactly like a real CUDA Bellman-Ford kernel. The plain
+    // Load of a source label beside those atomics reads some settled value
+    // of the round; either value keeps the label an upper bound that the
+    // fixpoint iteration finishes off.
+    ws.slots.clear();
+    for (CellId c : region.cells()) {
+      for (uint32_t i = 0; i < grid_->NumSlots(c); ++i) {
+        ws.slots.push_back(QueryWorkspace::SlotRef{c, i});
       }
     }
-  }
-  const Distance l = candidate_topk.size() >= k
-                         ? candidate_topk.back().distance
-                         : kInfiniteDistance;
-  topk_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "topk"));
-
-  // ---- Step 2c: GPU_Unresolved — boundary vertices with D[v] < l ---------
-  // Stream compaction on the device: flag kernel -> exclusive scan ->
-  // scatter kernel, then one copy of the compacted set to the host.
-  obs::Span unresolved_span = PhaseSpan(trace, obs::Phase::kUnresolved);
-  using UnresolvedEntry = std::pair<VertexId, Distance>;
-  std::vector<UnresolvedEntry> unresolved;
-  {
-    const uint32_t n = static_cast<uint32_t>(region_vertices.size());
-    auto is_unresolved = [this, &device_dist, l, &graph, &region_vertices,
-                          &in_l](ThreadCtx& ctx, uint32_t i) {
-      if (device_dist.Load(ctx, i) >= l) return false;
-      for (EdgeId id : graph.OutEdgeIds(region_vertices[i])) {
-        if (!in_l[grid_->CellOfVertex(graph.edge(id).target)]) return true;
-      }
-      return false;
-    };
     GKNN_ASSIGN_OR_RETURN(
-        auto flags, DeviceBuffer<uint32_t>::Allocate(device, n, "flags"));
-    // gknn-lint: allow(device-span): handed to gpusim::ExclusiveScan, which
-    // performs its own checked accesses.
-    auto flag_span = flags.device_span();
-    GKNN_RETURN_NOT_OK(
-        device
-            ->Launch("GPU_Unresolved/flag", n,
-                     [&flags, &is_unresolved, &graph,
-                      &region_vertices](ThreadCtx& ctx) {
-                       flags.Store(ctx, ctx.thread_id,
-                                   is_unresolved(ctx, ctx.thread_id) ? 1 : 0);
-                       ctx.CountOps(
-                           1 + graph.OutDegree(region_vertices[ctx.thread_id]));
-                     })
-            .status());
-    GKNN_ASSIGN_OR_RETURN(const uint32_t total,
-                          gpusim::ExclusiveScan(device, flag_span));
-    if (total > 0) {
-      GKNN_ASSIGN_OR_RETURN(auto compacted,
-                            DeviceBuffer<UnresolvedEntry>::Allocate(
-                                device, total, "unresolved"));
+        const auto sdist_stats,
+        device->LaunchIterative(
+            "GPU_SDist", static_cast<uint32_t>(ws.slots.size()),
+            /*max_iters=*/std::max<uint32_t>(1, st.candidate_vertices),
+            options_->sdist_early_exit,
+            [this, &ws, &device_dist](ThreadCtx& ctx, uint32_t) {
+              const QueryWorkspace::SlotRef ref = ws.slots[ctx.thread_id];
+              const GraphGrid::VertexSlot& slot =
+                  grid_->Slot(ref.cell, ref.slot);
+              bool changed = false;
+              if (!slot.empty()) {
+                const uint32_t self = ws.LocalId(slot.vertex);
+                for (const GraphGrid::EdgeEntry& e :
+                     grid_->SlotEdges(ref.cell, ref.slot)) {
+                  const uint32_t src = ws.LocalId(e.source);
+                  if (src == kInvalidVertex) continue;  // edge from outside L
+                  const Distance d = device_dist.Load(ctx, src);
+                  if (d != kInfiniteDistance &&
+                      device_dist.AtomicMin(ctx, self, d + e.weight) >
+                          d + e.weight) {
+                    changed = true;
+                  }
+                }
+              }
+              ctx.CountOps(grid_->delta_v());
+              return changed;
+            }));
+    st.sdist_iterations = sdist_stats.iterations;
+    sdist_span.Stop();
+    GKNN_RETURN_NOT_OK(CheckBudget(control, "sdist"));
+
+    // ---- Step 2b: candidate distances; GPU_First_k selects kNN's k -----
+    obs::Span topk_span = PhaseSpan(trace, obs::Phase::kTopk);
+    if (answer.is_knn() && !candidates.empty()) {
+      // Per-candidate distance entries, computed and selected on the
+      // device. Ties break by object id before buffer position, so the
+      // selected *objects* do not depend on the order cleaning emitted
+      // the candidates in — a concurrent run and its single-threaded
+      // replay pick the same winners. Candidates beyond the k winners
+      // cannot enter the answer: k candidates at or below their distance
+      // exist, and refinement finds any closer path to them on its own.
+      struct DistEntry {
+        Distance distance = kInfiniteDistance;
+        ObjectId object = std::numeric_limits<ObjectId>::max();
+        uint32_t index = std::numeric_limits<uint32_t>::max();
+        bool operator<(const DistEntry& other) const {
+          if (distance != other.distance) return distance < other.distance;
+          if (object != other.object) return object < other.object;
+          return index < other.index;
+        }
+      };
+      GKNN_ASSIGN_OR_RETURN(auto device_entries,
+                            DeviceBuffer<DistEntry>::Allocate(
+                                device, candidates.size(), "entries"));
+      // gknn-lint: allow(device-span): handed to gpusim::TopKSmallest,
+      // which performs its own checked accesses.
+      auto entry_span = device_entries.device_span();
       GKNN_RETURN_NOT_OK(
           device
-              ->Launch("GPU_Unresolved/scatter", n,
-                       [&is_unresolved, &compacted, &flags, &region_vertices,
-                        &device_dist](ThreadCtx& ctx) {
-                         ctx.CountOps(1);
-                         if (is_unresolved(ctx, ctx.thread_id)) {
-                           compacted.Store(
-                               ctx, flags.Load(ctx, ctx.thread_id),
-                               UnresolvedEntry{
-                                   region_vertices[ctx.thread_id],
-                                   device_dist.Load(ctx, ctx.thread_id)});
-                         }
+              ->Launch("GPU_First_k/distances",
+                       static_cast<uint32_t>(candidates.size()),
+                       [&candidates, &device_entries, &graph, &ws,
+                        &device_dist, location](ThreadCtx& ctx) {
+                         const Message& m = candidates[ctx.thread_id];
+                         const uint32_t src =
+                             ws.LocalId(graph.edge(m.edge).source);
+                         const Distance label =
+                             src != kInvalidVertex
+                                 ? device_dist.Load(ctx, src)
+                                 : kInfiniteDistance;
+                         device_entries.Store(
+                             ctx, ctx.thread_id,
+                             DistEntry{CandidateDistance(location, m, label),
+                                       m.object, ctx.thread_id});
+                         ctx.CountOps(2);
                        })
               .status());
-      GKNN_ASSIGN_OR_RETURN(unresolved, compacted.Download());
+      // GPU_First_k: warp-bitonic k-smallest selection on the device; the
+      // k winners come back to the host (charged inside TopKSmallest).
+      GKNN_ASSIGN_OR_RETURN(const auto selected,
+                            gpusim::TopKSmallest<DistEntry>(
+                                device, entry_span, answer.k(), DistEntry{}));
+      for (const DistEntry& e : selected) {
+        if (e.distance != kInfiniteDistance) {
+          answer.Offer(candidates[e.index].object, e.distance);
+        }
+      }
+    } else if (!answer.is_knn()) {
+      // A range query keeps every candidate within its radius: one host
+      // pass over the labels, no selection.
+      for (const Message& m : candidates) {
+        const uint32_t src = ws.LocalId(graph.edge(m.edge).source);
+        answer.Offer(m.object,
+                     CandidateDistance(location, m,
+                                       src != kInvalidVertex
+                                           ? sdist[src]
+                                           : kInfiniteDistance));
+      }
     }
+    topk_span.Stop();
+    GKNN_RETURN_NOT_OK(CheckBudget(control, "topk"));
+
+    // ---- Step 2c: GPU_Unresolved — boundary vertices below the bound ---
+    obs::Span unresolved_span = PhaseSpan(trace, obs::Phase::kUnresolved);
+    const Distance bound = answer.threshold();
+    if (answer.is_knn()) {
+      // Stream compaction on the device: flag kernel -> exclusive scan ->
+      // scatter kernel, then one copy of the compacted set to the host.
+      const uint32_t n = static_cast<uint32_t>(region_vertices.size());
+      auto is_unresolved = [this, &region, &region_vertices, &device_dist,
+                            bound](ThreadCtx& ctx, uint32_t i) {
+        return IsUnresolved(*grid_, region, region_vertices[i],
+                            device_dist.Load(ctx, i), bound);
+      };
+      GKNN_ASSIGN_OR_RETURN(
+          auto flags, DeviceBuffer<uint32_t>::Allocate(device, n, "flags"));
+      // gknn-lint: allow(device-span): handed to gpusim::ExclusiveScan,
+      // which performs its own checked accesses.
+      auto flag_span = flags.device_span();
+      GKNN_RETURN_NOT_OK(
+          device
+              ->Launch("GPU_Unresolved/flag", n,
+                       [&flags, &is_unresolved, &graph,
+                        &region_vertices](ThreadCtx& ctx) {
+                         flags.Store(ctx, ctx.thread_id,
+                                     is_unresolved(ctx, ctx.thread_id) ? 1
+                                                                       : 0);
+                         ctx.CountOps(1 + graph.OutDegree(
+                                              region_vertices[ctx.thread_id]));
+                       })
+              .status());
+      GKNN_ASSIGN_OR_RETURN(const uint32_t total,
+                            gpusim::ExclusiveScan(device, flag_span));
+      if (total > 0) {
+        GKNN_ASSIGN_OR_RETURN(
+            auto compacted,
+            DeviceBuffer<Seed>::Allocate(device, total, "unresolved"));
+        GKNN_RETURN_NOT_OK(
+            device
+                ->Launch("GPU_Unresolved/scatter", n,
+                         [&is_unresolved, &compacted, &flags,
+                          &region_vertices, &device_dist](ThreadCtx& ctx) {
+                           ctx.CountOps(1);
+                           if (is_unresolved(ctx, ctx.thread_id)) {
+                             compacted.Store(
+                                 ctx, flags.Load(ctx, ctx.thread_id),
+                                 Seed{region_vertices[ctx.thread_id],
+                                      device_dist.Load(ctx, ctx.thread_id)});
+                           }
+                         })
+                .status());
+        GKNN_ASSIGN_OR_RETURN(seeds, compacted.Download());
+      }
+    } else {
+      // A range query scans on the host, as it filtered its candidates.
+      for (uint32_t i = 0; i < region_vertices.size(); ++i) {
+        if (IsUnresolved(*grid_, region, region_vertices[i], sdist[i],
+                         bound)) {
+          seeds.emplace_back(region_vertices[i], sdist[i]);
+        }
+      }
+    }
+    st.unresolved_vertices = static_cast<uint32_t>(seeds.size());
+    // Mark the seeds so the refinement prune below can recognize them.
+    for (const Seed& seed : seeds) {
+      ws.seed_epoch_of[seed.first] = ws.seed_epoch;
+    }
+    unresolved_span.Stop();
+    GKNN_RETURN_NOT_OK(CheckBudget(control, "unresolved"));
   }
-  st.unresolved_vertices = static_cast<uint32_t>(unresolved.size());
-  // Mark the seeds so the refinement prune below can recognize them.
-  ++ws.seed_epoch;
-  for (const auto& [v, dv] : unresolved) {
-    (void)dv;
-    ws.seed_epoch_of[v] = ws.seed_epoch;
-  }
-  unresolved_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "unresolved"));
 
   // ---- Step 3 (Alg. 6): Refine_kNN on the host ---------------------------
   obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
-  std::vector<KnnResultEntry> refined;
-  if (!unresolved.empty()) {
-    // One multi-source bounded Dijkstra over all unresolved vertices, each
-    // seeded at its already-computed distance D[v]. Equivalent to the
-    // paper's per-vertex searches of radius l - D[v] (both settle exactly
-    // the locations within absolute distance l through some unresolved
-    // vertex) but shares the work their overlapping ranges would repeat,
-    // and settles vertices in one deterministic priority order — so a
-    // concurrent run and its single-threaded replay find the same objects.
-    roadnet::BoundedDijkstra& search = ws.search;
-    search.set_deadline(control != nullptr ? &control->deadline : nullptr);
-    search.BeginSearch();
-    for (const auto& [v, dv] : unresolved) search.SeedMore(v, dv);
-    // The search bound starts at l and tightens as refinement discovers
-    // closer objects: the running kth-best estimate over candidates +
-    // finds.
-    KthBound bound(k);
-    for (const KnnResultEntry& c : candidate_topk) {
-      bound.Offer(c.object, c.distance);
+  if (!on_gpu) {
+    // The CPU path's candidate step: objects ahead of the query on its own
+    // edge, whose direct route does not pass through the seed.
+    if (auto it = objects_on_edge_->find(location.edge);
+        it != objects_on_edge_->end()) {
+      for (ObjectId o : it->second) {
+        const ObjectTable::Entry* entry = object_table_->Find(o);
+        if (entry == nullptr) continue;
+        const Distance d = AlongEdgeDistance(location, entry->edge,
+                                             entry->offset);
+        if (d != kInfiniteDistance) answer.Offer(o, d);
+      }
     }
+    seeds.emplace_back(query_edge.target, query_edge.weight - location.offset);
+  }
+  if (!seeds.empty()) {
+    // One multi-source bounded Dijkstra over all seeds, each at its
+    // already-known distance. Equivalent to the paper's per-vertex
+    // searches of radius l - D[v] (both settle exactly the locations
+    // within absolute distance l through some unresolved vertex) but
+    // shares the work their overlapping ranges would repeat, and settles
+    // vertices in one deterministic priority order — so a concurrent run
+    // and its single-threaded replay find the same objects. The radius is
+    // the answer's threshold: fixed for range, and for kNN the running
+    // kth-best bound, tightening as refinement finds closer objects.
+    roadnet::BoundedDijkstra& search = ws.search;
+    search.set_deadline(deadline);
+    search.BeginSearch();
+    for (const auto& [v, dv] : seeds) search.SeedMore(v, dv);
     search.SearchPrunedDynamic(
-        [&]() -> Distance { return bound.threshold(); },
+        [&answer]() -> Distance { return answer.threshold(); },
         [&](VertexId x, Distance dx) {
           for (EdgeId id : graph.OutEdgeIds(x)) {
             auto it = objects_on_edge_->find(id);
@@ -559,59 +632,29 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
             for (ObjectId o : it->second) {
               const ObjectTable::Entry* entry = object_table_->Find(o);
               if (entry == nullptr || entry->edge != id) continue;
-              refined.push_back(KnnResultEntry{o, dx + entry->offset});
-              bound.Offer(o, dx + entry->offset);
+              if (answer.Offer(o, dx + entry->offset)) ++st.refined_objects;
             }
           }
           // Prune: a non-seed region vertex settled at >= its SDist label
-          // adds nothing — its in-region continuations were already relaxed
-          // by GPU_SDist, and any out-of-region edge would have made it an
-          // unresolved seed itself (or its label is >= l, beyond the
-          // radius). Seeds always expand: they are the gateways out of the
-          // region.
-          const uint32_t lx = local_of(x);
-          if (lx != kInvalidVertex && ws.seed_epoch_of[x] != ws.seed_epoch &&
-              dx >= dist_span[lx]) {
-            return false;
-          }
-          return true;
+          // adds nothing — its in-region continuations were already
+          // relaxed by GPU_SDist, and any out-of-region edge would have
+          // made it an unresolved seed itself (or its label is >= l,
+          // beyond the radius). Seeds always expand: they are the gateways
+          // out of the region. The CPU path has no region, so nothing is
+          // pruned.
+          const uint32_t lx = ws.LocalId(x);
+          return lx == kInvalidVertex || ws.IsSeed(x) || dx < sdist[lx];
         });
   }
   refine_span.Stop();
   GKNN_RETURN_NOT_OK(CheckBudget(control, "refine"));
 
-  // ---- Final merge ---------------------------------------------------------
-  // Candidates beyond the top k cannot enter the answer (their distance is
-  // >= l, and k candidates at <= l exist); refinement supplies any closer
-  // path to them on its own. So merging top-k + refined is sufficient.
-  std::unordered_map<ObjectId, Distance> best;
-  best.reserve(candidate_topk.size());
-  for (const KnnResultEntry& e : candidate_topk) {
-    auto [it, inserted] = best.emplace(e.object, e.distance);
-    if (!inserted) it->second = std::min(it->second, e.distance);
-  }
-  uint32_t refined_objects = 0;
-  for (const KnnResultEntry& e : refined) {
-    auto [it, inserted] = best.emplace(e.object, e.distance);
-    if (inserted) {
-      ++refined_objects;
-    } else {
-      it->second = std::min(it->second, e.distance);
-    }
-  }
-  st.refined_objects = refined_objects;
-
-  util::BoundedTopK<KnnResultEntry> final_topk(k);
-  for (const auto& [object, distance] : best) {
-    final_topk.Offer(KnnResultEntry{object, distance});
-  }
-
-  const auto ledger_after = device->ledger().totals();
-  st.h2d_bytes = ledger_after.h2d_bytes - ledger_before.h2d_bytes;
-  st.d2h_bytes = ledger_after.d2h_bytes - ledger_before.d2h_bytes;
-  st.transfer_seconds =
-      ledger_after.total_seconds() - ledger_before.total_seconds();
-  st.gpu_seconds = device->ClockSeconds() - device_clock_before;
+  const DeviceClocks clocks_after = DeviceClocks::Read(device);
+  st.h2d_bytes = clocks_after.ledger.h2d_bytes - clocks_before.ledger.h2d_bytes;
+  st.d2h_bytes = clocks_after.ledger.d2h_bytes - clocks_before.ledger.d2h_bytes;
+  st.transfer_seconds = clocks_after.ledger.total_seconds() -
+                        clocks_before.ledger.total_seconds();
+  st.gpu_seconds = clocks_after.modeled_seconds - clocks_before.modeled_seconds;
   // Host time excludes the wall clock the simulator spent executing
   // kernels functionally — that work runs on the device in a real
   // deployment and is billed through gpu_seconds. Under concurrent
@@ -619,487 +662,9 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
   // device work; exact per-query attribution needs a quiesced device.
   st.cpu_seconds =
       std::max(0.0, cpu_timer.ElapsedSeconds() -
-                        (device->sim_wall_seconds() - sim_wall_before));
-
-  return final_topk.TakeSorted();
-}
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRange(
-    EdgePoint location, Distance radius, double t_now, KnnStats* stats,
-    ExecMode mode, const QueryControl* control) {
-  GKNN_RETURN_NOT_OK(ValidateLocation(location));
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "admission"));
-
-  WorkspaceLease lease(this);
-  QueryWorkspace& ws = *lease;
-
-  KnnStats local_stats;
-  KnnStats* st = stats != nullptr ? stats : &local_stats;
-  obs::QueryTraceRecord record;
-  obs::QueryTraceRecord* trace = tracer_ != nullptr ? &record : nullptr;
-  obs::Span total;
-  if (trace != nullptr) {
-    record.query_id = tracer_->NextQueryId();
-    record.t_query = t_now;
-    record.range = true;
-    record.exec_mode = static_cast<uint8_t>(mode);
-    total = tracer_->StartTotal(trace);
-  }
-  auto finish = [&](util::Result<std::vector<KnnResultEntry>> result) {
-    total.Stop();
-    if (trace != nullptr) {
-      st->query_id = record.query_id;
-      record.ok = result.ok();
-      record.results =
-          result.ok() ? static_cast<uint32_t>(result->size()) : 0;
-      record.cpu_fallback = st->cpu_fallback;
-      record.cells_examined = st->cells_examined;
-      tracer_->FinishQuery(std::move(record));
-    }
-    return result;
-  };
-
-  if (mode == ExecMode::kCpuOnly) {
-    ++counters_.cpu_queries;
-    return finish(
-        QueryRangeCpu(location, radius, t_now, st, trace, ws, control));
-  }
-  // Same lease-per-attempt + migrate-once policy as Query above.
-  uint32_t last_device = 0;
-  auto gpu_attempt =
-      [&](bool avoid_last) -> util::Result<std::vector<KnnResultEntry>> {
-    if (scheduler_ == nullptr) {
-      last_device = 0;
-      return QueryRangeGpu(device_, 0, location, radius, t_now, st, trace, ws,
-                           control);
-    }
-    gpusim::Scheduler::Lease sched_lease =
-        avoid_last ? scheduler_->AcquireAvoiding(last_device)
-                   : scheduler_->Acquire();
-    last_device = sched_lease.device_index();
-    util::Result<std::vector<KnnResultEntry>> r =
-        QueryRangeGpu(sched_lease.device(), sched_lease.device_index(),
-                      location, radius, t_now, st, trace, ws, control);
-    scheduler_->ReportResult(sched_lease.device_index(),
-                             !r.ok() && gpusim::IsDeviceError(r.status()));
-    return r;
-  };
-  util::Result<std::vector<KnnResultEntry>> result =
-      gpu_attempt(/*avoid_last=*/false);
-  if (!result.ok() && gpusim::IsDeviceError(result.status())) {
-    ++counters_.gpu_failures;
-    if (trace != nullptr) ++record.fault_events;
-    if (mode == ExecMode::kAuto && scheduler_ != nullptr &&
-        scheduler_->num_devices() > 1) {
-      result = gpu_attempt(/*avoid_last=*/true);
-      if (result.ok()) {
-        ++counters_.migrated_queries;
-      } else if (gpusim::IsDeviceError(result.status())) {
-        ++counters_.gpu_failures;
-        if (trace != nullptr) ++record.fault_events;
-      }
-    }
-    if (!result.ok() && gpusim::IsDeviceError(result.status()) &&
-        mode == ExecMode::kAuto) {
-      ++counters_.fallback_queries;
-      obs::Span fallback = PhaseSpan(trace, obs::Phase::kFallback);
-      result = QueryRangeCpu(location, radius, t_now, st, nullptr, ws, control);
-      fallback.Stop();
-    }
-  }
-  return finish(std::move(result));
-}
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRangeGpu(
-    gpusim::Device* device, uint32_t device_index, EdgePoint location,
-    Distance radius, double t_now, KnnStats* stats,
-    obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-    const QueryControl* control) {
-  const roadnet::Graph& graph = grid_->graph();
-  const Edge& query_edge = graph.edge(location.edge);
-
-  KnnStats local_stats;
-  KnnStats& st = stats != nullptr ? *stats : local_stats;
-  st = KnnStats{};
-  const double device_clock_before = device->ClockSeconds();
-  const double sim_wall_before = device->sim_wall_seconds();
-  util::Timer cpu_timer;
-
-  // Clean the query's immediate cells; correctness beyond them comes from
-  // the boundary refinement (every location within `radius` outside the
-  // region is reached through an unresolved vertex).
-  std::vector<char> in_l(grid_->num_cells(), 0);
-  std::vector<CellId> l_cells;
-  auto add_cell = [&](CellId c) {
-    if (!in_l[c]) {
-      in_l[c] = 1;
-      l_cells.push_back(c);
-    }
-  };
-  obs::Span expand_span = PhaseSpan(trace, obs::Phase::kExpand);
-  const CellId query_cell = grid_->CellOfEdge(location.edge);
-  add_cell(query_cell);
-  add_cell(grid_->CellOfVertex(query_edge.target));
-  for (CellId nb : grid_->NeighborCells(query_cell)) add_cell(nb);
-  expand_span.Stop();
-  obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
-  GKNN_ASSIGN_OR_RETURN(
-      MessageCleaner::Outcome outcome,
-      cleaner_->Clean(l_cells, t_now, arena_, lists_, device_index,
-                      control != nullptr ? &control->deadline : nullptr));
-  clean_span.Stop();
-  if (trace != nullptr) {
-    trace->cells_cleaned += outcome.cells_cleaned;
-    trace->messages_shipped += outcome.messages_shipped;
-    if (outcome.messages_shipped > outcome.latest.size()) {
-      trace->messages_deduped += static_cast<uint32_t>(
-          outcome.messages_shipped - outcome.latest.size());
-    }
-  }
-  st.clean_pipeline_seconds = outcome.pipeline_seconds;
-  st.cells_examined = static_cast<uint32_t>(l_cells.size());
-  st.candidate_objects = static_cast<uint32_t>(outcome.latest.size());
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "clean"));
-
-  // GPU_SDist over the region (same kernel as the kNN path).
-  obs::Span sdist_span = PhaseSpan(trace, obs::Phase::kSdist);
-  std::vector<VertexId> region_vertices;
-  for (CellId c : l_cells) grid_->AppendCellVertices(c, &region_vertices);
-  st.candidate_vertices = static_cast<uint32_t>(region_vertices.size());
-  ++ws.query_epoch;
-  for (uint32_t i = 0; i < region_vertices.size(); ++i) {
-    ws.local_id_of_vertex[region_vertices[i]] = i;
-    ws.local_id_epoch[region_vertices[i]] = ws.query_epoch;
-  }
-  auto local_of = [&](VertexId v) -> uint32_t {
-    return ws.local_id_epoch[v] == ws.query_epoch ? ws.local_id_of_vertex[v]
-                                                  : kInvalidVertex;
-  };
-  GKNN_ASSIGN_OR_RETURN(auto device_dist,
-                        DeviceBuffer<Distance>::Allocate(
-                            device, region_vertices.size(), "D"));
-  {
-    std::vector<Distance> init(region_vertices.size(), kInfiniteDistance);
-    const uint32_t seed = local_of(query_edge.target);
-    if (seed != kInvalidVertex) {
-      init[seed] = query_edge.weight - location.offset;
-    }
-    GKNN_RETURN_NOT_OK(device_dist.Upload(init).status());
-  }
-  // gknn-lint: allow(device-span): host reads D only after the kernels
-  // complete; in-kernel accesses go through the checked Load/AtomicMin.
-  auto dist_span = device_dist.device_span();
-  struct SlotRef {
-    CellId cell;
-    uint32_t slot;
-  };
-  std::vector<SlotRef> slots;
-  for (CellId c : l_cells) {
-    for (uint32_t i = 0; i < grid_->NumSlots(c); ++i) {
-      slots.push_back(SlotRef{c, i});
-    }
-  }
-  // AtomicMin relaxation, same as the kNN path's GPU_SDist.
-  GKNN_ASSIGN_OR_RETURN(
-      const auto sdist_stats,
-      device->LaunchIterative(
-      "GPU_SDist", static_cast<uint32_t>(slots.size()),
-      std::max<uint32_t>(1, st.candidate_vertices),
-      options_->sdist_early_exit,
-      [this, &slots, &local_of, &device_dist](ThreadCtx& ctx, uint32_t) {
-        const SlotRef ref = slots[ctx.thread_id];
-        const GraphGrid::VertexSlot& slot = grid_->Slot(ref.cell, ref.slot);
-        bool changed = false;
-        if (!slot.empty()) {
-          const uint32_t self = local_of(slot.vertex);
-          for (const GraphGrid::EdgeEntry& e :
-               grid_->SlotEdges(ref.cell, ref.slot)) {
-            const uint32_t src = local_of(e.source);
-            if (src == kInvalidVertex) continue;
-            const Distance d = device_dist.Load(ctx, src);
-            if (d != kInfiniteDistance &&
-                device_dist.AtomicMin(ctx, self, d + e.weight) >
-                    d + e.weight) {
-              changed = true;
-            }
-          }
-        }
-        ctx.CountOps(grid_->delta_v());
-        return changed;
-      }));
-  st.sdist_iterations = sdist_stats.iterations;
-  sdist_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "sdist"));
-
-  // In-range candidates of the cleaned region.
-  obs::Span topk_span = PhaseSpan(trace, obs::Phase::kTopk);
-  std::unordered_map<ObjectId, Distance> best;
-  for (const Message& m : outcome.latest) {
-    const Edge& e = graph.edge(m.edge);
-    Distance d = kInfiniteDistance;
-    const uint32_t src = local_of(e.source);
-    if (src != kInvalidVertex && dist_span[src] != kInfiniteDistance) {
-      d = dist_span[src] + m.offset;
-    }
-    if (m.edge == location.edge && m.offset >= location.offset) {
-      d = std::min<Distance>(d, m.offset - location.offset);
-    }
-    if (d <= radius) {
-      auto [it, inserted] = best.emplace(m.object, d);
-      if (!inserted) it->second = std::min(it->second, d);
-    }
-  }
-
-  topk_span.Stop();
-
-  // Unresolved boundary vertices within the radius, then the outward
-  // refinement (fixed absolute bound, domination prune as in the kNN
-  // path).
-  obs::Span unresolved_span = PhaseSpan(trace, obs::Phase::kUnresolved);
-  std::vector<std::pair<VertexId, Distance>> unresolved;
-  for (uint32_t i = 0; i < region_vertices.size(); ++i) {
-    const VertexId v = region_vertices[i];
-    const Distance d = dist_span[i];
-    if (d >= radius) continue;
-    for (EdgeId id : graph.OutEdgeIds(v)) {
-      if (!in_l[grid_->CellOfVertex(graph.edge(id).target)]) {
-        unresolved.emplace_back(v, d);
-        break;
-      }
-    }
-  }
-  st.unresolved_vertices = static_cast<uint32_t>(unresolved.size());
-  ++ws.seed_epoch;
-  for (const auto& [v, dv] : unresolved) {
-    (void)dv;
-    ws.seed_epoch_of[v] = ws.seed_epoch;
-  }
-  unresolved_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "unresolved"));
-  obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
-  if (!unresolved.empty()) {
-    roadnet::BoundedDijkstra& search = ws.search;
-    search.set_deadline(control != nullptr ? &control->deadline : nullptr);
-    search.BeginSearch();
-    for (const auto& [v, dv] : unresolved) search.SeedMore(v, dv);
-    search.SearchPruned(radius, [&](VertexId x, Distance dx) {
-      for (EdgeId id : graph.OutEdgeIds(x)) {
-        auto it = objects_on_edge_->find(id);
-        if (it == objects_on_edge_->end()) continue;
-        for (ObjectId o : it->second) {
-          const ObjectTable::Entry* entry = object_table_->Find(o);
-          if (entry == nullptr || entry->edge != id) continue;
-          const Distance d = dx + entry->offset;
-          if (d <= radius) {
-            auto [bit, inserted] = best.emplace(o, d);
-            if (!inserted) bit->second = std::min(bit->second, d);
-            ++st.refined_objects;
-          }
-        }
-      }
-      const uint32_t lx = local_of(x);
-      return !(lx != kInvalidVertex && ws.seed_epoch_of[x] != ws.seed_epoch &&
-               dx >= dist_span[lx]);
-    });
-  }
-  refine_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "refine"));
-
-  std::vector<KnnResultEntry> result;
-  result.reserve(best.size());
-  for (const auto& [object, d] : best) {
-    result.push_back(KnnResultEntry{object, d});
-  }
-  std::sort(result.begin(), result.end());
-
-  st.gpu_seconds = device->ClockSeconds() - device_clock_before;
-  st.cpu_seconds =
-      std::max(0.0, cpu_timer.ElapsedSeconds() -
-                        (device->sim_wall_seconds() - sim_wall_before));
-  return result;
-}
-
-// ---- CPU-only execution (degraded mode) -----------------------------------
-//
-// The index maintains object_table_ and objects_on_edge_ eagerly at ingest
-// time, so the current location of every object is known on the host
-// without any message cleaning. A single bounded Dijkstra from the query
-// point over those tables is therefore *exact* — the same answers as the
-// full pipeline — just without the GPU's parallelism. Message lists are
-// still compacted (host-side) so degraded operation does not let them grow
-// without bound.
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryCpu(
-    EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
-    obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-    const QueryControl* control) {
-  const roadnet::Graph& graph = grid_->graph();
-  const Edge& query_edge = graph.edge(location.edge);
-  KnnStats local_stats;
-  KnnStats& st = stats != nullptr ? *stats : local_stats;
-  st = KnnStats{};
-  st.cpu_fallback = true;
-  util::Timer cpu_timer;
-
-  // Host-side compaction of the query's immediate cells: same maintenance
-  // the GPU path would have performed, zero device work.
-  std::vector<CellId> l_cells;
-  {
-    std::vector<char> in_l(grid_->num_cells(), 0);
-    auto add_cell = [&](CellId c) {
-      if (!in_l[c]) {
-        in_l[c] = 1;
-        l_cells.push_back(c);
-      }
-    };
-    const CellId query_cell = grid_->CellOfEdge(location.edge);
-    add_cell(query_cell);
-    add_cell(grid_->CellOfVertex(query_edge.target));
-    for (CellId nb : grid_->NeighborCells(query_cell)) add_cell(nb);
-  }
-  obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
-  GKNN_ASSIGN_OR_RETURN(MessageCleaner::Outcome outcome,
-                        cleaner_->CleanCpu(l_cells, t_now, arena_, lists_));
-  clean_span.Stop();
-  if (trace != nullptr) trace->cells_cleaned += outcome.cells_cleaned;
-  st.cells_examined = static_cast<uint32_t>(l_cells.size());
-  st.candidate_objects = static_cast<uint32_t>(outcome.latest.size());
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "clean"));
-
-  obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
-  std::unordered_map<ObjectId, Distance> best;
-  KthBound bound(k);
-  auto offer = [&](ObjectId o, Distance d) {
-    auto [it, inserted] = best.emplace(o, d);
-    if (!inserted) it->second = std::min(it->second, d);
-    bound.Offer(o, d);
-  };
-  // Objects ahead of the query on its own edge: direct along-edge path,
-  // the one route that does not pass through the edge's target.
-  if (auto it = objects_on_edge_->find(location.edge);
-      it != objects_on_edge_->end()) {
-    for (ObjectId o : it->second) {
-      const ObjectTable::Entry* entry = object_table_->Find(o);
-      if (entry != nullptr && entry->edge == location.edge &&
-          entry->offset >= location.offset) {
-        offer(o, entry->offset - location.offset);
-      }
-    }
-  }
-  // Every other route starts at the query edge's target. The search radius
-  // is the running kth-best bound over distinct objects — it starts
-  // unbounded (the whole network is in scope when fewer than k objects are
-  // known) and shrinks as objects are discovered.
-  roadnet::BoundedDijkstra& search = ws.search;
-  search.set_deadline(control != nullptr ? &control->deadline : nullptr);
-  search.BeginSearch();
-  search.SeedMore(query_edge.target, query_edge.weight - location.offset);
-  search.SearchPrunedDynamic(
-      [&]() -> Distance { return bound.threshold(); },
-      [&](VertexId x, Distance dx) {
-        for (EdgeId id : graph.OutEdgeIds(x)) {
-          auto oit = objects_on_edge_->find(id);
-          if (oit == objects_on_edge_->end()) continue;
-          for (ObjectId o : oit->second) {
-            const ObjectTable::Entry* entry = object_table_->Find(o);
-            if (entry == nullptr || entry->edge != id) continue;
-            offer(o, dx + entry->offset);
-          }
-        }
-        return true;
-      });
-  refine_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "refine"));
-  st.refined_objects = static_cast<uint32_t>(best.size());
-
-  util::BoundedTopK<KnnResultEntry> final_topk(k);
-  for (const auto& [object, distance] : best) {
-    final_topk.Offer(KnnResultEntry{object, distance});
-  }
-  st.cpu_seconds = cpu_timer.ElapsedSeconds();
-  return final_topk.TakeSorted();
-}
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRangeCpu(
-    EdgePoint location, Distance radius, double t_now, KnnStats* stats,
-    obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-    const QueryControl* control) {
-  const roadnet::Graph& graph = grid_->graph();
-  const Edge& query_edge = graph.edge(location.edge);
-  KnnStats local_stats;
-  KnnStats& st = stats != nullptr ? *stats : local_stats;
-  st = KnnStats{};
-  st.cpu_fallback = true;
-  util::Timer cpu_timer;
-
-  std::vector<CellId> l_cells;
-  {
-    std::vector<char> in_l(grid_->num_cells(), 0);
-    auto add_cell = [&](CellId c) {
-      if (!in_l[c]) {
-        in_l[c] = 1;
-        l_cells.push_back(c);
-      }
-    };
-    const CellId query_cell = grid_->CellOfEdge(location.edge);
-    add_cell(query_cell);
-    add_cell(grid_->CellOfVertex(query_edge.target));
-    for (CellId nb : grid_->NeighborCells(query_cell)) add_cell(nb);
-  }
-  obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
-  GKNN_ASSIGN_OR_RETURN(MessageCleaner::Outcome outcome,
-                        cleaner_->CleanCpu(l_cells, t_now, arena_, lists_));
-  clean_span.Stop();
-  if (trace != nullptr) trace->cells_cleaned += outcome.cells_cleaned;
-  st.cells_examined = static_cast<uint32_t>(l_cells.size());
-  st.candidate_objects = static_cast<uint32_t>(outcome.latest.size());
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "clean"));
-
-  obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
-  std::unordered_map<ObjectId, Distance> best;
-  auto offer = [&](ObjectId o, Distance d) {
-    if (d > radius) return;
-    auto [it, inserted] = best.emplace(o, d);
-    if (!inserted) it->second = std::min(it->second, d);
-  };
-  if (auto it = objects_on_edge_->find(location.edge);
-      it != objects_on_edge_->end()) {
-    for (ObjectId o : it->second) {
-      const ObjectTable::Entry* entry = object_table_->Find(o);
-      if (entry != nullptr && entry->edge == location.edge &&
-          entry->offset >= location.offset) {
-        offer(o, entry->offset - location.offset);
-      }
-    }
-  }
-  roadnet::BoundedDijkstra& search = ws.search;
-  search.set_deadline(control != nullptr ? &control->deadline : nullptr);
-  search.BeginSearch();
-  search.SeedMore(query_edge.target, query_edge.weight - location.offset);
-  search.SearchPruned(radius, [&](VertexId x, Distance dx) {
-    for (EdgeId id : graph.OutEdgeIds(x)) {
-      auto oit = objects_on_edge_->find(id);
-      if (oit == objects_on_edge_->end()) continue;
-      for (ObjectId o : oit->second) {
-        const ObjectTable::Entry* entry = object_table_->Find(o);
-        if (entry == nullptr || entry->edge != id) continue;
-        offer(o, dx + entry->offset);
-      }
-    }
-    return true;
-  });
-  refine_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "refine"));
-  st.refined_objects = static_cast<uint32_t>(best.size());
-
-  std::vector<KnnResultEntry> result;
-  result.reserve(best.size());
-  for (const auto& [object, d] : best) {
-    result.push_back(KnnResultEntry{object, d});
-  }
-  std::sort(result.begin(), result.end());
-  st.cpu_seconds = cpu_timer.ElapsedSeconds();
-  return result;
+                        (clocks_after.sim_wall_seconds -
+                         clocks_before.sim_wall_seconds));
+  return util::Status::OK();
 }
 
 }  // namespace gknn::core

@@ -18,7 +18,7 @@
 #include "obs/trace.h"
 #include "roadnet/dijkstra.h"
 #include "util/deadline.h"
-#include "util/lockdep.h"
+#include "util/object_pool.h"
 #include "util/result.h"
 
 namespace gknn::core {
@@ -67,7 +67,9 @@ struct KnnStats {
   uint32_t candidate_vertices = 0;   // |V| sent to GPU_SDist
   uint32_t sdist_iterations = 0;     // Bellman-Ford rounds executed
   uint32_t unresolved_vertices = 0;  // |U|
-  uint32_t refined_objects = 0;      // objects found by Refine_kNN
+  /// Objects Refine_kNN added that the candidate step had not (the CPU
+  /// path's candidate step is the along-edge offer).
+  uint32_t refined_objects = 0;
   double clean_pipeline_seconds = 0;  // modeled cleaning pipeline time
   double gpu_seconds = 0;             // modeled device time (kernels+copies)
   double cpu_seconds = 0;             // measured host time of CPU phases
@@ -108,9 +110,9 @@ struct EngineCounters {
 /// from any number of threads concurrently, provided no thread mutates the
 /// index structures (message lists, object table, grid) at the same time —
 /// lazy message cleaning is the one mutation queries perform themselves,
-/// and MessageCleaner serializes it per cell. Each in-flight query checks
-/// out a private QueryWorkspace (scratch vectors + Dijkstra state) from an
-/// internal freelist, so queries share no mutable engine state beyond the
+/// and MessageCleaner serializes it per cell. Each in-flight query leases
+/// a private QueryWorkspace (scratch vectors + Dijkstra state) from an
+/// internal pool, so queries share no mutable engine state beyond the
 /// atomic counters and the tracer.
 class KnnEngine {
  public:
@@ -130,10 +132,10 @@ class KnnEngine {
       const QueryControl* control = nullptr);
 
   /// Range variant (an extension beyond the paper): every object within
-  /// network distance `radius` of `location`, sorted ascending. Uses the
-  /// same pipeline — clean the query's cells, GPU_SDist over them, then
-  /// refine outward from the unresolved boundary vertices with the fixed
-  /// radius as the bound.
+  /// network distance `radius` of `location`, sorted ascending. The same
+  /// pipeline as Query with the fixed radius as the refinement bound — a
+  /// kNN query is a range query whose radius shrinks to the kth-best
+  /// distance found so far.
   util::Result<std::vector<KnnResultEntry>> QueryRange(
       roadnet::EdgePoint location, roadnet::Distance radius, double t_now,
       KnnStats* stats = nullptr, ExecMode mode = ExecMode::kAuto,
@@ -156,18 +158,43 @@ class KnnEngine {
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  /// Everything one in-flight query mutates on the host: the bounded
-  /// Dijkstra used by refinement and the epoch-stamped vertex maps (dense
-  /// vertex -> local id of the SDist region; membership of the unresolved
-  /// seed set). Checked out of `free_workspaces_` for the duration of a
-  /// query so concurrent queries never share scratch state.
+  /// Everything one in-flight query mutates on the host: the candidate
+  /// region, the GPU_SDist slot list, the bounded Dijkstra used by
+  /// refinement and the epoch-stamped vertex maps (dense vertex -> local
+  /// id of the SDist region; membership of the refinement seed set).
+  /// Leased from `workspaces_` for the duration of a query so concurrent
+  /// queries never share scratch state.
   struct QueryWorkspace {
-    explicit QueryWorkspace(const roadnet::Graph* graph)
-        : search(graph),
-          local_id_of_vertex(graph->num_vertices(), 0),
-          local_id_epoch(graph->num_vertices(), 0),
-          seed_epoch_of(graph->num_vertices(), 0) {}
+    struct SlotRef {
+      CellId cell;
+      uint32_t slot;
+    };
 
+    explicit QueryWorkspace(const GraphGrid* grid)
+        : region(grid->num_cells()),
+          search(&grid->graph()),
+          local_id_of_vertex(grid->graph().num_vertices(), 0),
+          local_id_epoch(grid->graph().num_vertices(), 0),
+          seed_epoch_of(grid->graph().num_vertices(), 0) {}
+
+    /// Starts an attempt with an empty region, no SDist labels and no
+    /// seeds, whatever the workspace's previous query left behind.
+    void BeginAttempt() {
+      region.Clear();
+      ++query_epoch;
+      ++seed_epoch;
+    }
+    /// Local id of `v` in the SDist region, or kInvalidVertex.
+    uint32_t LocalId(roadnet::VertexId v) const {
+      return local_id_epoch[v] == query_epoch ? local_id_of_vertex[v]
+                                              : roadnet::kInvalidVertex;
+    }
+    bool IsSeed(roadnet::VertexId v) const {
+      return seed_epoch_of[v] == seed_epoch;
+    }
+
+    CellRegion region;
+    std::vector<SlotRef> slots;
     roadnet::BoundedDijkstra search;
     std::vector<uint32_t> local_id_of_vertex;
     std::vector<uint64_t> local_id_epoch;
@@ -176,26 +203,8 @@ class KnnEngine {
     uint64_t seed_epoch = 0;
   };
 
-  /// RAII checkout of a QueryWorkspace; returns it to the freelist on
-  /// destruction.
-  class WorkspaceLease {
-   public:
-    explicit WorkspaceLease(KnnEngine* engine)
-        : engine_(engine), workspace_(engine->AcquireWorkspace()) {}
-    ~WorkspaceLease() { engine_->ReleaseWorkspace(std::move(workspace_)); }
-    WorkspaceLease(const WorkspaceLease&) = delete;
-    WorkspaceLease& operator=(const WorkspaceLease&) = delete;
-    QueryWorkspace& operator*() { return *workspace_; }
-
-   private:
-    KnnEngine* engine_;
-    std::unique_ptr<QueryWorkspace> workspace_;
-  };
-
-  std::unique_ptr<QueryWorkspace> AcquireWorkspace();
-  void ReleaseWorkspace(std::unique_ptr<QueryWorkspace> workspace);
-
-  util::Status ValidateLocation(roadnet::EdgePoint location) const;
+  /// The answer one attempt accumulates (defined in knn_engine.cc).
+  class Answer;
 
   /// A span over `phase` charging into `trace`; a no-op span when the
   /// engine has no tracer or the caller passed no record (the kAuto
@@ -206,31 +215,27 @@ class KnnEngine {
     return tracer_->StartSpan(trace, phase);
   }
 
-  /// The paper's pipeline (GPU cleaning + SDist + First_k + Unresolved +
-  /// CPU refinement), executed on `device` (index `device_index` of the
-  /// set, used to route cleaning to that device's staging context). Any
-  /// device error aborts the query and propagates.
-  util::Result<std::vector<KnnResultEntry>> QueryGpu(
-      gpusim::Device* device, uint32_t device_index,
-      roadnet::EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
-      obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-      const QueryControl* control);
-  /// Exact host-only execution: CleanCpu over the query's cells, then one
-  /// bounded Dijkstra from the query point over the eagerly maintained
-  /// object table, its radius shrinking with the running kth-best bound.
-  util::Result<std::vector<KnnResultEntry>> QueryCpu(
-      roadnet::EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
-      obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-      const QueryControl* control);
-  util::Result<std::vector<KnnResultEntry>> QueryRangeGpu(
-      gpusim::Device* device, uint32_t device_index,
-      roadnet::EdgePoint location, roadnet::Distance radius, double t_now,
-      KnnStats* stats, obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-      const QueryControl* control);
-  util::Result<std::vector<KnnResultEntry>> QueryRangeCpu(
-      roadnet::EdgePoint location, roadnet::Distance radius, double t_now,
-      KnnStats* stats, obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-      const QueryControl* control);
+  /// The driver of both query kinds: validates, leases a workspace, opens
+  /// the trace record, and runs attempts of the pipeline — the GPU attempt
+  /// on a scheduler-leased device, the migrate-once retry, the kAuto CPU
+  /// fallback — each on a fresh copy of `empty`.
+  util::Result<std::vector<KnnResultEntry>> Run(
+      roadnet::EdgePoint location, const Answer& empty, double t_now,
+      KnnStats* stats, ExecMode mode, const QueryControl* control);
+
+  /// The paper's pipeline into `answer`: candidate cells and message
+  /// cleaning, then on `device` (index `device_index` of the set, used to
+  /// route cleaning to that device's staging context) GPU_SDist,
+  /// GPU_First_k and GPU_Unresolved, then Refine_kNN on the host. A null
+  /// `device` is the exact CPU-only path: host cleaning, then the same
+  /// refinement seeded at the query edge's target with no SDist region.
+  /// Any device error aborts the attempt and propagates.
+  util::Status RunPipeline(gpusim::Device* device, uint32_t device_index,
+                           roadnet::EdgePoint location, double t_now,
+                           Answer& answer, KnnStats& st,
+                           obs::QueryTraceRecord* trace, QueryWorkspace& ws,
+                           const QueryControl* control);
+
   /// Construction-time device; every query runs here when no scheduler is
   /// attached (single-device builds), and it seeds device_index 0.
   gpusim::Device* device_;
@@ -244,11 +249,9 @@ class KnnEngine {
   const EdgeObjectMap* objects_on_edge_;
   const GGridOptions* options_;
 
-  /// Freelist of reusable query workspaces; grows to the high-water mark
-  /// of concurrent queries. Guarded by ws_mu_ (a lock-order leaf: the
-  /// freelist pop/push never acquires anything else).
-  util::lockdep::Mutex ws_mu_{util::lockdep::kEngineWorkspaceClass};
-  std::vector<std::unique_ptr<QueryWorkspace>> free_workspaces_;
+  /// Reusable query workspaces. One is built up front, so the common
+  /// single-threaded case never allocates on the query path.
+  util::ObjectPool<QueryWorkspace> workspaces_;
 
   EngineCounters counters_;
 

@@ -75,19 +75,11 @@ class BoundedDijkstra {
 
   void Search(Distance radius,
               const std::function<void(VertexId, Distance)>& visit) {
-    SearchPruned(radius, [&](VertexId v, Distance d) {
-      visit(v, d);
-      return true;
-    });
-  }
-
-  /// As Search, but the visitor returns whether to relax the settled
-  /// vertex's out-edges. Returning false prunes expansion *through* the
-  /// vertex while still reporting it (used by Refine_kNN to stop searches
-  /// from re-expanding the already-resolved candidate region).
-  void SearchPruned(Distance radius,
-                    const std::function<bool(VertexId, Distance)>& visit) {
-    SearchPrunedDynamic([radius] { return radius; }, visit);
+    SearchPrunedDynamic([radius] { return radius; },
+                        [&](VertexId v, Distance d) {
+                          visit(v, d);
+                          return true;
+                        });
   }
 
   /// Attaches a query deadline: the search polls it every 64 settled
@@ -99,9 +91,13 @@ class BoundedDijkstra {
   /// deadline expired rather than because the frontier was exhausted.
   bool cancelled() const { return cancelled_; }
 
-  /// As SearchPruned with a radius re-evaluated at every step. The radius
-  /// must be non-increasing over the search (a shrinking kNN bound); the
-  /// search stops as soon as the next settled distance exceeds it.
+  /// As Search with a radius re-evaluated at every step, and a visitor
+  /// that returns whether to relax the settled vertex's out-edges:
+  /// returning false prunes expansion *through* the vertex while still
+  /// reporting it (Refine_kNN uses it to stop re-expanding the already
+  /// resolved candidate region). The radius must be non-increasing over
+  /// the search (a shrinking kNN bound); the search stops as soon as the
+  /// next settled distance exceeds it.
   void SearchPrunedDynamic(
       const std::function<Distance()>& radius,
       const std::function<bool(VertexId, Distance)>& visit) {

@@ -1,7 +1,6 @@
 #include "server/query_server.h"
 
 #include <algorithm>
-#include <future>
 #include <string_view>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "gpusim/fault_injector.h"
 #include "util/backoff.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace gknn::server {
 
@@ -27,6 +25,17 @@ util::Result<std::unique_ptr<QueryServer>> QueryServer::Create(
     gpusim::DeviceSet* devices, const ServerOptions& server_options) {
   GKNN_ASSIGN_OR_RETURN(std::unique_ptr<core::GGridIndex> index,
                         core::GGridIndex::Build(graph, options, devices));
+  return std::unique_ptr<QueryServer>(
+      new QueryServer(std::move(index), server_options));
+}
+
+util::Result<std::unique_ptr<QueryServer>> QueryServer::Create(
+    std::shared_ptr<const core::GraphGrid> grid,
+    const core::GGridOptions& options, gpusim::DeviceSet* devices,
+    const ServerOptions& server_options) {
+  GKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<core::GGridIndex> index,
+      core::GGridIndex::Build(std::move(grid), options, devices));
   return std::unique_ptr<QueryServer>(
       new QueryServer(std::move(index), server_options));
 }
@@ -100,74 +109,7 @@ util::Status QueryServer::DrainIfPending() {
   return TimedDrainExclusive();
 }
 
-QueryServer::Admission QueryServer::Admit(const util::Deadline& deadline) {
-  Admission out;
-  if (options_.max_inflight == 0) {
-    // Admission control off: no queue, no shedding; keep the inflight
-    // gauge honest anyway.
-    util::lockdep::MutexLock lock(admission_mu_);
-    ++inflight_;
-    ++stats_.admitted_queries;
-    return out;
-  }
-  util::Timer wait_timer;
-  bool waited = false;
-  util::lockdep::UniqueLock lock(admission_mu_);
-  while (inflight_ >= options_.max_inflight) {
-    if (!waited) {
-      if (admission_queued_ >= options_.max_queued) {
-        // Reject-newest: the arrival is shed, everyone already waiting
-        // keeps its place — FIFO fairness for the admitted backlog.
-        out.status = util::Status::ResourceExhausted(
-            "admission queue full (" + std::to_string(admission_queued_) +
-            " waiting, " + std::to_string(inflight_) + " inflight)");
-        return out;
-      }
-      ++admission_queued_;
-      waited = true;
-    }
-    if (deadline.is_infinite()) {
-      admission_cv_.wait(lock);
-    } else {
-      admission_cv_.wait_until(lock, deadline.time_point());
-      if (inflight_ >= options_.max_inflight && deadline.Expired()) {
-        --admission_queued_;
-        out.status = util::Status::DeadlineExceeded(
-            "deadline expired waiting for an execution slot");
-        return out;
-      }
-    }
-  }
-  if (waited) --admission_queued_;
-  ++inflight_;
-  ++stats_.admitted_queries;
-  // Brownout pressure signal: this query had to queue, or admission is
-  // past half capacity — degrade before the queue fills and sheds.
-  out.brownout =
-      options_.brownout && (waited || inflight_ * 2 > options_.max_inflight);
-  out.waited_seconds = waited ? wait_timer.ElapsedSeconds() : 0.0;
-  return out;
-}
-
-void QueryServer::ReleaseSlot() {
-  {
-    util::lockdep::MutexLock lock(admission_mu_);
-    --inflight_;
-  }
-  admission_cv_.notify_one();
-}
-
-uint32_t QueryServer::inflight_queries() const {
-  util::lockdep::MutexLock lock(admission_mu_);
-  return inflight_;
-}
-
-uint32_t QueryServer::admission_queue_depth() const {
-  util::lockdep::MutexLock lock(admission_mu_);
-  return admission_queued_;
-}
-
-double QueryServer::PredictQueryGpuSeconds(uint32_t k) const {
+double QueryServer::PredictDeviceSeconds(uint32_t k) const {
   const core::GGridOptions& opts = index_->options();
   const roadnet::Graph& graph = index_->grid().graph();
   core::CostModelInputs inputs;
@@ -188,7 +130,8 @@ template <typename IndexFn>
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::ExecuteAdmitted(
     const util::Deadline& deadline, double predicted_gpu_seconds,
     IndexFn index_fn, bool external_brownout) {
-  Admission admission = Admit(deadline);
+  // admission.slot is held to the end of the query, error paths included.
+  AdmissionGate::Admission admission = gate_.Admit(deadline);
   if (!admission.status.ok()) {
     if (admission.status.IsDeadlineExceeded()) {
       ++stats_.expired_queries;
@@ -197,11 +140,7 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::ExecuteAdmitted(
     }
     return admission.status;
   }
-  // Slot held from here to the end of the query, error paths included.
-  struct SlotGuard {
-    QueryServer* server;
-    ~SlotGuard() { server->ReleaseSlot(); }
-  } slot_guard{this};
+  ++stats_.admitted_queries;
   if (admission_wait_hist_ != nullptr) {
     admission_wait_hist_->Observe(admission.waited_seconds);
   }
@@ -342,13 +281,8 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::ExecuteShared(
 
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryKnn(
     roadnet::EdgePoint location, uint32_t k, double t_now) {
-  return ExecuteAdmitted(
-      DefaultDeadline(),
-      options_.brownout ? PredictQueryGpuSeconds(k) : 0.0,
-      [&](core::ExecMode mode, core::KnnStats* stats,
-          const core::QueryControl* control) {
-        return index_->QueryKnn(location, k, t_now, stats, mode, control);
-      });
+  return QueryKnnRouted(location, k, t_now, options_.DefaultDeadline(),
+                        /*brownout_pressure=*/false);
 }
 
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryKnnRouted(
@@ -356,7 +290,7 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryKnnRouted(
     const util::Deadline& deadline, bool brownout_pressure) {
   const bool degrade = options_.brownout || brownout_pressure;
   return ExecuteAdmitted(
-      deadline, degrade ? PredictQueryGpuSeconds(k) : 0.0,
+      deadline, degrade ? PredictDeviceSeconds(k) : 0.0,
       [&](core::ExecMode mode, core::KnnStats* stats,
           const core::QueryControl* control) {
         return index_->QueryKnn(location, k, t_now, stats, mode, control);
@@ -381,73 +315,25 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryRange(
     roadnet::EdgePoint location, roadnet::Distance radius, double t_now) {
   // Range queries have no k for the cost model; brownout degrades them
   // through the ring scale only.
-  return ExecuteAdmitted(
-      DefaultDeadline(), 0.0,
-      [&](core::ExecMode mode, core::KnnStats* stats,
-          const core::QueryControl* control) {
-        return index_->QueryRange(location, radius, t_now, stats, mode,
-                                  control);
-      });
+  return QueryRangeRouted(location, radius, t_now,
+                          options_.DefaultDeadline(),
+                          /*brownout_pressure=*/false);
 }
 
 util::Result<std::vector<std::vector<core::KnnResultEntry>>>
 QueryServer::QueryKnnBatch(std::span<const roadnet::EdgePoint> locations,
                            uint32_t k, double t_now) {
   GKNN_RETURN_NOT_OK(DrainIfPending());
-  const util::Deadline deadline = DefaultDeadline();
-  const double predicted =
-      options_.brownout ? PredictQueryGpuSeconds(k) : 0.0;
-  std::vector<std::vector<core::KnnResultEntry>> results(locations.size());
-  std::vector<util::Status> statuses(locations.size(), util::Status::OK());
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(locations.size());
-  for (size_t i = 0; i < locations.size(); ++i) {
-    util::ThreadPool::Submission submission;
-    submission.deadline = deadline;
-    // Each fan-out task is a full admitted query: admission slot, budget,
-    // brownout — batch queries obey the same overload policy as single
-    // ones.
-    submission.run = [this, &results, &statuses, location = locations[i], k,
-                      t_now, i, deadline, predicted] {
-      auto result = ExecuteAdmitted(
-          deadline, predicted,
-          [&](core::ExecMode mode, core::KnnStats* stats,
-              const core::QueryControl* control) {
-            return index_->QueryKnn(location, k, t_now, stats, mode, control);
-          });
-      if (result.ok()) {
-        results[i] = *std::move(result);
-      } else {
-        statuses[i] = result.status();
-      }
-    };
-    submission.on_expired = [this, &statuses, i] {
-      // The budget died while the task sat in the pool queue; the pool
-      // dropped it before it took any lock.
-      ++stats_.expired_queries;
-      statuses[i] = util::Status::DeadlineExceeded(
-          "query budget exhausted in the batch queue");
-    };
-    std::optional<std::future<void>> task =
-        query_pool_->TrySubmitTask(std::move(submission));
-    if (!task.has_value()) {
-      // Bounded pool queue full (ServerOptions::max_queued): shed this
-      // query, typed, without blocking the submitter.
-      ++stats_.shed_queries;
-      statuses[i] =
-          util::Status::ResourceExhausted("batch query pool queue full");
-      continue;
-    }
-    tasks.push_back(std::move(*task));
-  }
-  // get() (not wait()) so an exception escaping a task — impossible for
-  // the query path itself, which reports through Status — still reaches
-  // the caller instead of being swallowed.
-  for (std::future<void>& task : tasks) task.get();
-  for (util::Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return results;
+  const util::Deadline deadline = options_.DefaultDeadline();
+  // Each task is a full admitted query: admission slot, budget, brownout —
+  // batch queries obey the same overload policy as single ones.
+  return RunBatch(
+      query_pool_.get(), locations, deadline,
+      [&](roadnet::EdgePoint location) {
+        return QueryKnnRouted(location, k, t_now, deadline,
+                              /*brownout_pressure=*/false);
+      },
+      &stats_.expired_queries, &stats_.shed_queries);
 }
 
 void QueryServer::AnnotateTrace(uint64_t query_id, uint64_t query_retries) {

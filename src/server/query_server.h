@@ -2,7 +2,6 @@
 #define GKNN_SERVER_QUERY_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +11,7 @@
 #include "gpusim/device.h"
 #include "obs/metrics.h"
 #include "roadnet/graph.h"
+#include "server/admission_gate.h"
 #include "util/deadline.h"
 #include "util/lockdep.h"
 #include "util/result.h"
@@ -47,6 +47,12 @@ struct ServerOptions {
   /// while queued in the batch pool, or at the engine's phase-boundary
   /// cancellation checkpoints.
   double default_deadline_ms = 0;
+  /// A fresh budget of default_deadline_ms from now.
+  util::Deadline DefaultDeadline() const {
+    return default_deadline_ms > 0
+               ? util::Deadline::AfterSeconds(default_deadline_ms * 1e-3)
+               : util::Deadline();
+  }
   /// Queries executing concurrently before new arrivals queue for a
   /// slot; 0 (the default) disables admission control entirely.
   uint32_t max_inflight = 0;
@@ -135,6 +141,13 @@ class QueryServer {
       gpusim::DeviceSet* devices,
       const ServerOptions& server_options = ServerOptions{});
 
+  /// As above over a host grid shared with other servers (the
+  /// ShardRouter's shards; see GGridIndex::Build's shared-grid form).
+  static util::Result<std::unique_ptr<QueryServer>> Create(
+      std::shared_ptr<const core::GraphGrid> grid,
+      const core::GGridOptions& options, gpusim::DeviceSet* devices,
+      const ServerOptions& server_options = ServerOptions{});
+
   /// Reports an object location (producer-side, thread-safe, non-blocking
   /// beyond a stripe lock).
   void Report(core::ObjectId object, roadnet::EdgePoint position,
@@ -161,7 +174,9 @@ class QueryServer {
   /// this server's default, and degraded when the caller already observed
   /// overload pressure (`brownout_pressure`, OR-ed with this server's own
   /// admission signal). The ShardRouter uses it to apply one router-level
-  /// deadline and brownout decision across every shard a query touches.
+  /// deadline and brownout decision across every shard a query touches;
+  /// QueryKnn is this call with the default budget and no outside
+  /// pressure.
   util::Result<std::vector<core::KnnResultEntry>> QueryKnnRouted(
       roadnet::EdgePoint location, uint32_t k, double t_now,
       const util::Deadline& deadline, bool brownout_pressure);
@@ -199,10 +214,10 @@ class QueryServer {
   /// Queries currently holding an execution slot. Tracked even with
   /// admission control off (max_inflight == 0) so the gauge is always
   /// meaningful.
-  uint32_t inflight_queries() const;
+  uint32_t inflight_queries() const { return gate_.inflight(); }
 
   /// Arrivals currently waiting for an execution slot.
-  uint32_t admission_queue_depth() const;
+  uint32_t admission_queue_depth() const { return gate_.queued(); }
 
   /// Snapshot of the degradation counters. Lock-free: monitoring threads
   /// polling this never contend with queries for the index lock. See
@@ -280,7 +295,8 @@ class QueryServer {
                         ? std::make_unique<util::ThreadPool>(
                               util::ThreadPool::Inline{})
                         : std::make_unique<util::ThreadPool>(
-                              options.query_threads, options.max_queued)) {
+                              options.query_threads, options.max_queued)),
+        gate_(options.max_inflight, options.max_queued, options.brownout) {
     if (obs::kEnabled) {
       // Resolve the hot-path histogram handles once: Observe is
       // atomics-only, so the query path never takes the registry mutex.
@@ -320,33 +336,9 @@ class QueryServer {
       const util::Deadline& deadline = util::Deadline(),
       bool force_cpu = false);
 
-  /// Outcome of one admission decision (docs/ROBUSTNESS.md "Overload
-  /// control").
-  struct Admission {
-    util::Status status = util::Status::OK();  // OK = slot granted
-    bool brownout = false;    // degrade this query (pressure observed)
-    double waited_seconds = 0;  // time spent queued for the slot
-  };
-
-  /// Takes (or waits for) an execution slot. With max_inflight == 0 this
-  /// only bumps the inflight gauge. Returns ResourceExhausted when the
-  /// admission queue is full (reject-newest shedding) and
-  /// DeadlineExceeded when the budget ran out while waiting. A granted
-  /// slot must be returned via ReleaseSlot().
-  Admission Admit(const util::Deadline& deadline);
-  void ReleaseSlot();
-
-  /// The per-query budget from ServerOptions::default_deadline_ms.
-  util::Deadline DefaultDeadline() const {
-    return options_.default_deadline_ms > 0
-               ? util::Deadline::AfterSeconds(options_.default_deadline_ms *
-                                              1e-3)
-               : util::Deadline();
-  }
-
   /// §VI cost-model estimate of one query's device seconds, used by the
   /// brownout policy to route cheap queries to the CPU path.
-  double PredictQueryGpuSeconds(uint32_t k) const;
+  double PredictDeviceSeconds(uint32_t k) const;
 
   /// The full admitted single-query path: admission, deadline budget,
   /// brownout degradation, drain-if-pending, then ExecuteShared under the
@@ -424,14 +416,8 @@ class QueryServer {
   uint32_t consecutive_query_failures_ = 0;  // guarded by breaker_mu_
   uint64_t degraded_query_count_ = 0;        // guarded by breaker_mu_
 
-  /// Admission bookkeeping (docs/CONCURRENCY.md rank 902, a leaf: the
-  /// slot counters are the only thing touched under it, and the condvar
-  /// wait releases it, so a blocked admitter holds nothing).
-  mutable util::lockdep::Mutex admission_mu_{
-      util::lockdep::kServerAdmissionClass};
-  std::condition_variable_any admission_cv_;
-  uint32_t inflight_ = 0;          // guarded by admission_mu_
-  uint32_t admission_queued_ = 0;  // guarded by admission_mu_
+  /// Execution slots (docs/ROBUSTNESS.md "Overload control").
+  AdmissionGate gate_;
 
   /// Pre-resolved overload-metric handles (null when GKNN_OBS=0); see the
   /// constructor.

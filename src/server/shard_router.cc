@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -41,7 +39,12 @@ ShardRouter::ShardRouter(const roadnet::Graph* graph,
                             util::ThreadPool::Inline{})
                       : std::make_unique<util::ThreadPool>(
                             options.server.query_threads,
-                            options.server.max_queued)) {}
+                            options.server.max_queued)),
+      gate_(options.server.max_inflight, options.server.max_queued,
+            options.server.brownout),
+      searches_([graph] {
+        return std::make_unique<roadnet::BoundedDijkstra>(graph);
+      }) {}
 
 ShardRouter::~ShardRouter() = default;
 
@@ -69,32 +72,22 @@ util::Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
   shard_options.default_deadline_ms = 0;
   shard_options.brownout = false;  // pressure arrives via QueryKnnRouted
 
+  // Shard 0 partitions the graph; the others share its immutable grid
+  // (each index holds a reference, so no destruction order can leave it
+  // dangling) and mirror it onto their own devices.
   const uint32_t devices_per_shard =
       std::max<uint32_t>(1, router_options.devices_per_shard);
   for (uint32_t s = 0; s < router_options.num_shards; ++s) {
     router->device_sets_.push_back(std::make_unique<gpusim::DeviceSet>(
         devices_per_shard, router_options.device));
+    gpusim::DeviceSet* devices = router->device_sets_.back().get();
     GKNN_ASSIGN_OR_RETURN(
         std::unique_ptr<QueryServer> shard,
-        QueryServer::Create(graph, options, router->device_sets_.back().get(),
-                            shard_options));
+        s == 0 ? QueryServer::Create(graph, options, devices, shard_options)
+               : QueryServer::Create(router->grid_, options, devices,
+                                     shard_options));
+    if (s == 0) router->grid_ = shard->index().shared_grid();
     router->shards_.push_back(std::move(shard));
-  }
-  router->grid_ = &router->shards_[0]->index().grid();
-
-  // The grids must be bit-identical across shards — the partitioner is
-  // deterministic in its seed, so this only fires if that determinism
-  // regresses, in which case routing by shard 0's grid would silently
-  // disagree with where other shards file their cleaning work.
-  for (uint32_t s = 1; s < router_options.num_shards; ++s) {
-    const auto& mine =
-        router->shards_[s]->index().grid().partition().cell_of_vertex;
-    if (mine != router->grid_->partition().cell_of_vertex) {
-      return util::Status::Internal(
-          "shard " + std::to_string(s) +
-          " partitioned the graph differently than shard 0; the "
-          "partitioner is expected to be deterministic in its seed");
-    }
   }
 
   GKNN_ASSIGN_OR_RETURN(
@@ -176,57 +169,6 @@ void ShardRouter::Deregister(core::ObjectId object, double time) {
   stripe.shard_of.erase(it);
 }
 
-ShardRouter::Admission ShardRouter::Admit(const util::Deadline& deadline) {
-  Admission out;
-  const uint32_t max_inflight = options_.server.max_inflight;
-  if (max_inflight == 0) {
-    util::lockdep::MutexLock lock(admission_mu_);
-    ++inflight_;
-    stats_.admitted_queries.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
-  bool waited = false;
-  util::lockdep::UniqueLock lock(admission_mu_);
-  while (inflight_ >= max_inflight) {
-    if (!waited) {
-      if (admission_queued_ >= options_.server.max_queued) {
-        out.status = util::Status::ResourceExhausted(
-            "router admission queue full (" +
-            std::to_string(admission_queued_) + " waiting, " +
-            std::to_string(inflight_) + " inflight)");
-        return out;
-      }
-      ++admission_queued_;
-      waited = true;
-    }
-    if (deadline.is_infinite()) {
-      admission_cv_.wait(lock);
-    } else {
-      admission_cv_.wait_until(lock, deadline.time_point());
-      if (inflight_ >= max_inflight && deadline.Expired()) {
-        --admission_queued_;
-        out.status = util::Status::DeadlineExceeded(
-            "deadline expired waiting for a router execution slot");
-        return out;
-      }
-    }
-  }
-  if (waited) --admission_queued_;
-  ++inflight_;
-  stats_.admitted_queries.fetch_add(1, std::memory_order_relaxed);
-  out.brownout = options_.server.brownout &&
-                 (waited || inflight_ * 2 > max_inflight);
-  return out;
-}
-
-void ShardRouter::ReleaseSlot() {
-  {
-    util::lockdep::MutexLock lock(admission_mu_);
-    --inflight_;
-  }
-  admission_cv_.notify_one();
-}
-
 std::vector<uint32_t> ShardRouter::SelectShards(uint32_t home,
                                                 uint32_t k) const {
   const uint64_t target = std::max<uint64_t>(
@@ -280,14 +222,16 @@ std::vector<core::KnnResultEntry> ShardRouter::MergeTopK(
 
 util::Result<std::vector<core::KnnResultEntry>> ShardRouter::QueryKnn(
     roadnet::EdgePoint location, uint32_t k, double t_now) {
-  return QueryKnnInternal(location, k, t_now, DefaultDeadline());
+  return QueryKnnInternal(location, k, t_now,
+                          options_.server.DefaultDeadline());
 }
 
 util::Result<std::vector<core::KnnResultEntry>>
 ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
                               double t_now, const util::Deadline& deadline) {
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  Admission admission = Admit(deadline);
+  // admission.slot is held to the end of the query, error paths included.
+  AdmissionGate::Admission admission = gate_.Admit(deadline);
   if (!admission.status.ok()) {
     if (admission.status.IsDeadlineExceeded()) {
       stats_.expired_queries.fetch_add(1, std::memory_order_relaxed);
@@ -296,10 +240,7 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
     }
     return admission.status;
   }
-  struct SlotGuard {
-    ShardRouter* router;
-    ~SlotGuard() { router->ReleaseSlot(); }
-  } slot_guard{this};
+  stats_.admitted_queries.fetch_add(1, std::memory_order_relaxed);
   const bool pressure = admission.brownout;
   if (pressure) {
     stats_.brownout_queries.fetch_add(1, std::memory_order_relaxed);
@@ -361,14 +302,20 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
       }
     } else {
       std::vector<uint8_t> reachable(num_shards(), 0);
-      std::unique_ptr<roadnet::BoundedDijkstra> dijkstra = AcquireDijkstra();
-      dijkstra->set_deadline(&deadline);
-      dijkstra->RunFromPoint(
-          location, bound, [&](roadnet::VertexId v, roadnet::Distance) {
-            reachable[cell_to_shard_[grid_->CellOfVertex(v)]] = 1;
-          });
-      const bool expired = dijkstra->cancelled();
-      ReleaseDijkstra(std::move(dijkstra));
+      bool expired = false;
+      {
+        util::ObjectPool<roadnet::BoundedDijkstra>::Lease search =
+            searches_.Acquire();
+        search->set_deadline(&deadline);
+        search->RunFromPoint(
+            location, bound, [&](roadnet::VertexId v, roadnet::Distance) {
+              reachable[cell_to_shard_[grid_->CellOfVertex(v)]] = 1;
+            });
+        expired = search->cancelled();
+        // The deadline belongs to this query; it must not survive into
+        // the pool.
+        search->set_deadline(nullptr);
+      }
       if (expired) {
         return util::Status::DeadlineExceeded(
             "route: query budget exhausted during border refinement");
@@ -409,65 +356,13 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
 util::Result<std::vector<std::vector<core::KnnResultEntry>>>
 ShardRouter::QueryKnnBatch(std::span<const roadnet::EdgePoint> locations,
                            uint32_t k, double t_now) {
-  const util::Deadline deadline = DefaultDeadline();
-  std::vector<std::vector<core::KnnResultEntry>> results(locations.size());
-  std::vector<util::Status> statuses(locations.size(), util::Status::OK());
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(locations.size());
-  for (size_t i = 0; i < locations.size(); ++i) {
-    util::ThreadPool::Submission submission;
-    submission.deadline = deadline;
-    submission.run = [this, &results, &statuses, location = locations[i], k,
-                      t_now, i, deadline] {
-      auto result = QueryKnnInternal(location, k, t_now, deadline);
-      if (result.ok()) {
-        results[i] = std::move(result).ValueOrDie();
-      } else {
-        statuses[i] = result.status();
-      }
-    };
-    submission.on_expired = [this, &statuses, i] {
-      stats_.expired_queries.fetch_add(1, std::memory_order_relaxed);
-      statuses[i] = util::Status::DeadlineExceeded(
-          "query budget exhausted in the router batch queue");
-    };
-    std::optional<std::future<void>> task =
-        query_pool_->TrySubmitTask(std::move(submission));
-    if (!task.has_value()) {
-      stats_.shed_queries.fetch_add(1, std::memory_order_relaxed);
-      statuses[i] = util::Status::ResourceExhausted(
-          "router batch query pool queue full");
-      continue;
-    }
-    tasks.push_back(std::move(*task));
-  }
-  for (std::future<void>& task : tasks) task.get();
-  for (util::Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return results;
-}
-
-std::unique_ptr<roadnet::BoundedDijkstra> ShardRouter::AcquireDijkstra() {
-  {
-    util::lockdep::MutexLock lock(dijkstra_mu_);
-    if (!dijkstra_pool_.empty()) {
-      std::unique_ptr<roadnet::BoundedDijkstra> out =
-          std::move(dijkstra_pool_.back());
-      dijkstra_pool_.pop_back();
-      return out;
-    }
-  }
-  return std::make_unique<roadnet::BoundedDijkstra>(graph_);
-}
-
-void ShardRouter::ReleaseDijkstra(
-    std::unique_ptr<roadnet::BoundedDijkstra> dijkstra) {
-  // The deadline pointer belongs to the query that borrowed the searcher;
-  // it must not survive into the pool.
-  dijkstra->set_deadline(nullptr);
-  util::lockdep::MutexLock lock(dijkstra_mu_);
-  dijkstra_pool_.push_back(std::move(dijkstra));
+  const util::Deadline deadline = options_.server.DefaultDeadline();
+  return RunBatch(
+      query_pool_.get(), locations, deadline,
+      [&](roadnet::EdgePoint location) {
+        return QueryKnnInternal(location, k, t_now, deadline);
+      },
+      &stats_.expired_queries, &stats_.shed_queries);
 }
 
 RouterStats ShardRouter::router_stats() const {

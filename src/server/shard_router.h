@@ -2,7 +2,6 @@
 #define GKNN_SERVER_SHARD_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <span>
 #include <string>
@@ -15,9 +14,11 @@
 #include "obs/metrics.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/graph.h"
+#include "server/admission_gate.h"
 #include "server/query_server.h"
 #include "util/deadline.h"
 #include "util/lockdep.h"
+#include "util/object_pool.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -105,9 +106,9 @@ struct RouterStats {
 /// QueryKnn/QueryKnnBatch from any thread concurrently.
 class ShardRouter {
  public:
-  /// Builds num_shards devices + QueryServers over `graph` (identical
-  /// deterministic grids) and the cell→shard table. The graph must
-  /// outlive the router.
+  /// Builds num_shards devices + QueryServers over `graph` (one grid,
+  /// partitioned once and shared by every shard) and the cell→shard
+  /// table. The graph must outlive the router.
   static util::Result<std::unique_ptr<ShardRouter>> Create(
       const roadnet::Graph* graph, const core::GGridOptions& options,
       const ShardRouterOptions& router_options);
@@ -214,14 +215,6 @@ class ShardRouter {
     std::atomic<uint64_t> cross_shard_moves{0};
   };
 
-  /// Outcome of one router-level admission decision (mirror of
-  /// QueryServer::Admission; the gate reuses the server.admission leaf
-  /// class — same rank-902 discipline, one more instance).
-  struct Admission {
-    util::Status status = util::Status::OK();
-    bool brownout = false;
-  };
-
   ShardRouter(const roadnet::Graph* graph,
               const ShardRouterOptions& options);
 
@@ -229,18 +222,8 @@ class ShardRouter {
     return stripes_[object % kStripes];
   }
 
-  util::Deadline DefaultDeadline() const {
-    return options_.server.default_deadline_ms > 0
-               ? util::Deadline::AfterSeconds(
-                     options_.server.default_deadline_ms * 1e-3)
-               : util::Deadline();
-  }
-
-  Admission Admit(const util::Deadline& deadline);
-  void ReleaseSlot();
-
   /// The full logical-query path (admission + three phases) under an
-  /// explicit budget; QueryKnn passes DefaultDeadline() and the batch
+  /// explicit budget; QueryKnn passes the default budget and the batch
   /// fan-out passes its shared one.
   util::Result<std::vector<core::KnnResultEntry>> QueryKnnInternal(
       roadnet::EdgePoint location, uint32_t k, double t_now,
@@ -249,20 +232,13 @@ class ShardRouter {
   /// Phase 1: the ordered shard fan-out for a query homed in `home`.
   std::vector<uint32_t> SelectShards(uint32_t home, uint32_t k) const;
 
-  /// Leases a BoundedDijkstra workspace for one phase-3 refinement.
-  /// Instances are not thread-safe, so concurrent refiners each lease
-  /// their own; the epoch-stamped workspace makes a recycled search
-  /// O(settled), not O(|V|).
-  std::unique_ptr<roadnet::BoundedDijkstra> AcquireDijkstra();
-  void ReleaseDijkstra(std::unique_ptr<roadnet::BoundedDijkstra> dijkstra);
-
   void FoldRouterMetrics();
 
   const roadnet::Graph* graph_;
   ShardRouterOptions options_;
   std::vector<std::unique_ptr<gpusim::DeviceSet>> device_sets_;
   std::vector<std::unique_ptr<QueryServer>> shards_;
-  const core::GraphGrid* grid_ = nullptr;  // shard 0's (all identical)
+  std::shared_ptr<const core::GraphGrid> grid_;  // shared by every shard
   std::vector<uint32_t> cell_to_shard_;
   /// Shard-adjacency lists (sorted, deduplicated): s' is adjacent to s
   /// when some cell of s borders a cell of s' in the grid's neighborhood
@@ -276,20 +252,14 @@ class ShardRouter {
   std::unique_ptr<util::ThreadPool> query_pool_;
   AtomicRouterStats stats_;
 
-  /// Router admission gate (docs/SHARDING.md): same leaf discipline as
-  /// QueryServer's — the condvar wait releases the mutex, so a blocked
-  /// admitter holds nothing.
-  mutable util::lockdep::Mutex admission_mu_{
-      util::lockdep::kServerAdmissionClass};
-  std::condition_variable_any admission_cv_;
-  uint32_t inflight_ = 0;          // guarded by admission_mu_
-  uint32_t admission_queued_ = 0;  // guarded by admission_mu_
+  /// Router admission gate (docs/SHARDING.md): one decision per logical
+  /// query, whatever number of shards it fans out to.
+  AdmissionGate gate_;
 
-  /// Recycled refinement workspaces (leaf lock, same per-query-scratch
-  /// discipline as engine.workspace — one more instance of that class).
-  mutable util::lockdep::Mutex dijkstra_mu_{
-      util::lockdep::kEngineWorkspaceClass};
-  std::vector<std::unique_ptr<roadnet::BoundedDijkstra>> dijkstra_pool_;
+  /// Phase-3 refinement searches. Instances are not thread-safe, so
+  /// concurrent refiners each lease their own; the epoch-stamped search
+  /// makes a recycled one O(settled), not O(|V|).
+  util::ObjectPool<roadnet::BoundedDijkstra> searches_;
 
   obs::MetricRegistry router_registry_;
 };

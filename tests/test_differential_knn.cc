@@ -5,11 +5,13 @@
 // ties may permute objects). On top of the answers, the kAuto index's
 // observability layer is held to its invariants: phase times sum to at
 // most the query total, counters only grow, and the latency histogram
-// observes exactly once per query.
+// observes exactly once per query. A second trace holds every execution
+// mode to exact (distance, object) lists for both kNN and range queries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "baselines/brute_force.h"
@@ -145,6 +147,100 @@ TEST(DifferentialKnnTest, AutoCpuAndOracleAgreeOnSeededTrace) {
     EXPECT_EQ(traces.size(), queries.size());
     EXPECT_NEAR(snapshot.histograms.at("gknn_query_seconds").sum,
                 histogram_sum_check, 1e-6 * queries.size());
+  }
+}
+
+// The contract of the engine's single query pipeline: one seeded trace,
+// every query answered as kNN and as range under kAuto, kGpuOnly and
+// kCpuOnly, each compared with the brute-force oracle as an exact
+// (distance, object) list — KnnResultEntry's order, ties broken by object
+// id. The modes interleave on one index and one engine workspace, so a
+// CPU-mode query that read the region left by the previous GPU query would
+// show. Objects pinned behind, at and ahead of each query point on its own
+// edge exercise the along-edge path; query offsets 0 and `weight`, k above
+// the live object count, radius 0, a radius tied with the kth distance and
+// a radius past every object are the edge cases.
+TEST(DifferentialKnnTest, EveryModeMatchesOracleForKnnAndRange) {
+  auto graph = std::move(workload::GenerateSyntheticRoadNetwork(
+                             {.num_vertices = 400, .seed = 31}))
+                   .ValueOrDie();
+  gpusim::Device device;
+  auto index = std::move(core::GGridIndex::Build(&graph, core::GGridOptions{},
+                                                 &device))
+                   .ValueOrDie();
+  baselines::BruteForce oracle(&graph);
+
+  constexpr uint32_t kSimObjects = 200;
+  workload::MovingObjectSimulator sim(&graph,
+                                      {.num_objects = kSimObjects, .seed = 32});
+  std::vector<workload::LocationUpdate> updates;
+  sim.EmitFullSnapshot(&updates);
+  auto ingest = [&](core::ObjectId object, roadnet::EdgePoint position,
+                    double time) {
+    ASSERT_TRUE(index->Ingest(object, position, time).ok());
+    oracle.Ingest(object, position, time);
+  };
+  for (const auto& u : updates) ingest(u.object_id, u.position, u.time);
+
+  // Three objects follow the query point along its edge (re-reported at
+  // every query so none of them outlives t_delta).
+  constexpr core::ObjectId kBehind = 1000000, kAt = 1000001, kAhead = 1000002;
+  constexpr uint32_t kLiveObjects = kSimObjects + 3;
+
+  // Every reachable object within `radius`, in the engine's order.
+  auto oracle_range = [&](roadnet::EdgePoint location,
+                          roadnet::Distance radius, double t) {
+    std::vector<KnnResultEntry> all =
+        std::move(oracle.QueryKnn(location, kLiveObjects, t)).ValueOrDie();
+    std::erase_if(all, [radius](const KnnResultEntry& e) {
+      return e.distance > radius;
+    });
+    return all;
+  };
+
+  const auto queries =
+      workload::GenerateQueries(graph, {.num_queries = 30,
+                                        .k = 6,
+                                        .start_time = 0.5,
+                                        .interval_seconds = 0.2,
+                                        .seed = 33});
+  const ExecMode kModes[] = {ExecMode::kAuto, ExecMode::kCpuOnly,
+                             ExecMode::kGpuOnly};
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const workload::KnnQuery& q = queries[i];
+    roadnet::EdgePoint location = q.location;
+    const roadnet::Distance weight = graph.edge(location.edge).weight;
+    if (i % 3 == 1) location.offset = 0;
+    if (i % 3 == 2) location.offset = static_cast<uint32_t>(weight);
+    const uint32_t k = i % 4 == 3 ? kLiveObjects + 5 : q.k;
+
+    updates.clear();
+    sim.AdvanceTo(q.time, &updates);
+    for (const auto& u : updates) ingest(u.object_id, u.position, u.time);
+    ingest(kBehind, {location.edge, location.offset / 2}, q.time);
+    ingest(kAt, location, q.time);
+    const auto ahead = static_cast<uint32_t>(
+        location.offset + (weight - location.offset) / 2);
+    ingest(kAhead, {location.edge, ahead}, q.time);
+
+    const auto expected_knn =
+        std::move(oracle.QueryKnn(location, k, q.time)).ValueOrDie();
+    ASSERT_FALSE(expected_knn.empty());
+    const roadnet::Distance radii[] = {0, expected_knn.back().distance,
+                                       roadnet::kInfiniteDistance - 1};
+    for (ExecMode mode : kModes) {
+      SCOPED_TRACE("query " + std::to_string(i) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      auto knn = index->QueryKnn(location, k, q.time, nullptr, mode);
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      EXPECT_EQ(*knn, expected_knn);
+      for (roadnet::Distance radius : radii) {
+        auto range = index->QueryRange(location, radius, q.time, nullptr, mode);
+        ASSERT_TRUE(range.ok()) << range.status().ToString();
+        EXPECT_EQ(*range, oracle_range(location, radius, q.time))
+            << "radius " << radius;
+      }
+    }
   }
 }
 

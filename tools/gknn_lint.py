@@ -9,15 +9,14 @@ on the same line or an immediately preceding comment line):
                    enumerate their captures: an accidental by-reference
                    capture of a host temporary is exactly the dangling-
                    pointer bug a real CUDA kernel launch turns into UB.
-  lockdep-table    The rank table in src/util/lockdep.h and the lock-
-                   order table in docs/CONCURRENCY.md must list the same
-                   classes with the same ranks.
 
 The raw-mutex, discarded-status (now `status-drop`), and device-span
 rules moved to the interprocedural analyzer `tools/analyzer/gknn_check`,
 which resolves receivers and call graphs instead of matching lines — see
-docs/STATIC_ANALYSIS.md. This lint keeps only the rules that are purely
-textual (lambda capture syntax, doc/table sync).
+docs/STATIC_ANALYSIS.md. So did the lockdep.h <-> docs/CONCURRENCY.md
+rank-table sync, which gknn_check's lock-order pass diffs in both
+directions. This lint keeps only the purely textual rule (lambda capture
+syntax).
 
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage
 errors.
@@ -31,14 +30,6 @@ import sys
 ALLOW_RE = re.compile(r"gknn-lint:\s*allow\(([a-z-]+)\)")
 
 KERNEL_CAPTURE_RE = re.compile(r"\[[&=]\]\s*\(\s*(?:const\s+)?(?:\w+::)*(?:ThreadCtx|WarpCtx)\s*&")
-
-LOCKDEP_TABLE_BEGIN = "// gknn-lockdep-table-begin"
-LOCKDEP_TABLE_END = "// gknn-lockdep-table-end"
-LOCKDEP_CLASS_RE = re.compile(
-    r"LockClass\s+\w+\{\"([a-z.]+)\",\s*(\d+)(?:,\s*(true|false))?"
-    r"(?:,\s*(true|false))?\}")
-# docs/CONCURRENCY.md rows: | 100 | `server.index` | ...
-DOC_ROW_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*`([a-z.]+)`")
 
 
 class Finding:
@@ -93,69 +84,13 @@ def check_file(path, rel, lines, findings):
                     "captures explicitly"))
 
 
-def parse_lockdep_table(root):
-    path = os.path.join(root, "src", "util", "lockdep.h")
-    classes = {}
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    begin = text.find(LOCKDEP_TABLE_BEGIN)
-    end = text.find(LOCKDEP_TABLE_END)
-    if begin < 0 or end < 0:
-        return None
-    for m in LOCKDEP_CLASS_RE.finditer(text[begin:end]):
-        classes[m.group(1)] = int(m.group(2))
-    return classes
-
-
-def parse_doc_table(root):
-    path = os.path.join(root, "docs", "CONCURRENCY.md")
-    classes = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            m = DOC_ROW_RE.match(line)
-            if m:
-                classes[m.group(2)] = int(m.group(1))
-    return classes
-
-
-def check_lockdep_table(root, findings):
-    code_table = parse_lockdep_table(root)
-    if code_table is None:
-        findings.append(Finding("src/util/lockdep.h", 1, "lockdep-table",
-                                "missing gknn-lockdep-table markers"))
-        return
-    doc_path = os.path.join(root, "docs", "CONCURRENCY.md")
-    if not os.path.exists(doc_path):
-        findings.append(Finding("docs/CONCURRENCY.md", 1, "lockdep-table",
-                                "docs/CONCURRENCY.md not found"))
-        return
-    doc_table = parse_doc_table(root)
-    for name, rank in sorted(code_table.items()):
-        if name not in doc_table:
-            findings.append(Finding(
-                "docs/CONCURRENCY.md", 1, "lockdep-table",
-                f"lock class `{name}` (rank {rank}) is in lockdep.h but "
-                "missing from the CONCURRENCY.md lock-order table"))
-        elif doc_table[name] != rank:
-            findings.append(Finding(
-                "docs/CONCURRENCY.md", 1, "lockdep-table",
-                f"lock class `{name}` has rank {rank} in lockdep.h but "
-                f"{doc_table[name]} in CONCURRENCY.md"))
-    for name, rank in sorted(doc_table.items()):
-        if name not in code_table:
-            findings.append(Finding(
-                "docs/CONCURRENCY.md", 1, "lockdep-table",
-                f"lock class `{name}` (rank {rank}) is documented but not "
-                "declared in src/util/lockdep.h"))
-
-
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=None,
                         help="repository root (default: the lint's parent)")
     parser.add_argument("paths", nargs="*",
                         help="explicit files to lint instead of the repo "
-                             "sweep (table sync is skipped)")
+                             "sweep")
     args = parser.parse_args(argv)
 
     root = args.root or os.path.dirname(
@@ -174,9 +109,6 @@ def main(argv):
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
         check_file(path, rel, lines, findings)
-
-    if not args.paths:
-        check_lockdep_table(root, findings)
 
     for finding in findings:
         print(finding)
