@@ -1,13 +1,15 @@
 // Shard scaling (docs/SHARDING.md): one logical road network served by
 // N region shards, each with its own device, index, and inbox behind a
 // ShardRouter. Reports wall-clock queries/sec through the router's batch
-// pool and a *modeled multi-device* queries/sec: per-query modeled cost
-// (the sum of every shard device's clock delta the query consumed, plus
-// host thread-CPU time) measured serially, then binned by the query's
-// home shard — the throughput N independent devices would sustain when
-// each serves the queries homed in its region. The model is
-// load-insensitive (device modeled clock + CLOCK_THREAD_CPUTIME_ID), so
-// the smoke gate survives `ctest -j` core contention.
+// pool and a *modeled multi-device* queries/sec: the queries run serially,
+// each shard device's modeled clock delta is charged to that device, and
+// the busiest device's total (the device makespan) bounds the throughput
+// N independent devices would sustain. The modeled clocks are a pure
+// function of the work, so the makespan repeats exactly between runs and
+// the smoke gate reads scaling, not host load. Host thread-CPU time of
+// the same serial queries (CLOCK_THREAD_CPUTIME_ID) is printed in its own
+// column and gates nothing: on a shared host it swings between identical
+// runs by more than the scaling it would be compared against.
 //
 // Scaling comes from two properties the differential suite proves don't
 // cost exactness: objects partition by region (each shard's index holds
@@ -90,7 +92,8 @@ bool RunShardScaling(const std::string& dataset,
               dataset.c_str(), graph->num_vertices(), flags.k,
               flags.num_objects, num_queries);
   TablePrinter table({"Shards", "Avg fan-out", "Wall q/s",
-                      "Modeled multi-device q/s", "Modeled speedup"});
+                      "Device makespan ms", "Modeled multi-device q/s",
+                      "Modeled speedup", "Host CPU ms (ungated)"});
 
   double modeled_qps_1 = 0;
   double modeled_qps_4 = 0;
@@ -98,9 +101,9 @@ bool RunShardScaling(const std::string& dataset,
   bool monotone = true;
   double prev_qps = 0;
   for (uint32_t shards : shard_counts) {
-    // Cost router: serial measurement of per-query modeled cost and home
-    // shard. Per-shard-count costs matter — fan-out (and so per-query
-    // work) depends on how the borders cut the rings.
+    // Cost router: serial measurement of each device's modeled work.
+    // Per-shard-count costs matter — fan-out (and so per-query work)
+    // depends on how the borders cut the rings.
     auto cost_router = BuildRouter(&*graph, shards, /*query_threads=*/0,
                                    flags);
     GKNN_CHECK(cost_router.ok()) << cost_router.status().ToString();
@@ -111,24 +114,21 @@ bool RunShardScaling(const std::string& dataset,
                     flags.num_objects, 2.0);
     // Each query's device work is charged to the device that ran it (a
     // border probe executes on the neighbor shard's device — that is the
-    // point of per-shard devices), and its host work to the home shard's
-    // pool thread.
+    // point of per-shard devices).
     std::vector<double> bins(shards, 0.0);
     double total_cost = 0;
+    double host_seconds = 0;
     for (const auto& q : queries) {
       const std::vector<double> before = FleetClocks(cost_router->get());
       util::ThreadCpuTimer timer;
       auto r = (*cost_router)->QueryKnn(q.location, flags.k, 2.0);
       GKNN_CHECK(r.ok()) << r.status().ToString();
-      const double host = timer.ElapsedSeconds();
+      host_seconds += timer.ElapsedSeconds();
       const std::vector<double> after = FleetClocks(cost_router->get());
-      double cost = host;
       for (uint32_t s = 0; s < shards; ++s) {
         bins[s] += after[s] - before[s];
-        cost += after[s] - before[s];
+        total_cost += after[s] - before[s];
       }
-      bins[(*cost_router)->ShardOfPoint(q.location)] += host;
-      total_cost += cost;
     }
     const double makespan = *std::max_element(bins.begin(), bins.end());
     if (std::getenv("GKNN_BENCH_DEBUG") != nullptr) {
@@ -182,8 +182,10 @@ bool RunShardScaling(const std::string& dataset,
     if (prev_qps > 0 && modeled_qps <= prev_qps) monotone = false;
     prev_qps = modeled_qps;
     table.AddRow({std::to_string(shards), FormatDouble(avg_fanout, 2),
-                  FormatDouble(wall_qps, 0), FormatDouble(modeled_qps, 0),
-                  FormatDouble(serial_makespan_1 / makespan, 2) + "x"});
+                  FormatDouble(wall_qps, 0), FormatDouble(makespan * 1e3, 3),
+                  FormatDouble(modeled_qps, 0),
+                  FormatDouble(serial_makespan_1 / makespan, 2) + "x",
+                  FormatDouble(host_seconds * 1e3, 2)});
   }
   table.Print();
 

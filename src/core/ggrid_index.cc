@@ -113,11 +113,9 @@ util::Result<std::unique_ptr<GGridIndex>> GGridIndex::Build(
   index->scheduler_ = std::make_unique<gpusim::Scheduler>(devices);
 
   index->engine_ = std::make_unique<KnnEngine>(
-      devices->device_ptr(0), index->grid_.get(), index->cleaner_.get(),
-      &index->arena_, &index->lists_, &index->object_table_,
-      &index->objects_on_edge_, &index->options_);
-  index->engine_->SetTracer(&index->tracer_);
-  index->engine_->set_scheduler(index->scheduler_.get());
+      index->scheduler_.get(), &index->tracer_, index->grid_.get(),
+      index->cleaner_.get(), &index->arena_, &index->lists_,
+      &index->object_table_, &index->objects_on_edge_, &index->options_);
   return index;
 }
 

@@ -100,8 +100,8 @@ class GGridIndex {
   /// to its cell's list, writes a departure tombstone to the previous cell
   /// when the object moved between cells, and refreshes the object table.
   /// Returns InvalidArgument for a position off the network (the index is
-  /// untouched); under eager_updates a cleaning error can also surface,
-  /// with the update itself already durably appended.
+  /// untouched), and no other error: under eager_updates a device error
+  /// in the clean falls back to the host pass (see CleanCells).
   util::Status Ingest(ObjectId object, roadnet::EdgePoint position,
                       double time);
 

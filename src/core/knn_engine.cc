@@ -160,13 +160,13 @@ class KnnEngine::Answer {
   std::vector<Distance> values_;  // kNN: every object's best, ascending
 };
 
-KnnEngine::KnnEngine(gpusim::Device* device, const GraphGrid* grid,
-                     MessageCleaner* cleaner, BucketArena* arena,
-                     std::vector<MessageList>* lists,
+KnnEngine::KnnEngine(gpusim::Scheduler* scheduler, obs::Tracer* tracer,
+                     const GraphGrid* grid, MessageCleaner* cleaner,
+                     BucketArena* arena, std::vector<MessageList>* lists,
                      const ObjectTable* object_table,
                      const EdgeObjectMap* objects_on_edge,
                      const GGridOptions* options)
-    : device_(device),
+    : scheduler_(scheduler),
       grid_(grid),
       cleaner_(cleaner),
       arena_(arena),
@@ -175,7 +175,8 @@ KnnEngine::KnnEngine(gpusim::Device* device, const GraphGrid* grid,
       objects_on_edge_(objects_on_edge),
       options_(options),
       workspaces_([grid] { return std::make_unique<QueryWorkspace>(grid); },
-                  /*prebuilt=*/1) {}
+                  /*prebuilt=*/1),
+      tracer_(tracer) {}
 
 util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
     EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
@@ -207,27 +208,20 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Run(
   KnnStats local_stats;
   KnnStats* st = stats != nullptr ? stats : &local_stats;
   obs::QueryTraceRecord record;
-  obs::QueryTraceRecord* trace = tracer_ != nullptr ? &record : nullptr;
-  obs::Span total;
-  if (trace != nullptr) {
-    record.query_id = tracer_->NextQueryId();
-    record.t_query = t_now;
-    record.k = empty.k();
-    record.range = !empty.is_knn();
-    record.exec_mode = static_cast<uint8_t>(mode);
-    total = tracer_->StartTotal(trace);
-  }
+  record.query_id = tracer_->NextQueryId();
+  record.t_query = t_now;
+  record.k = empty.k();
+  record.range = !empty.is_knn();
+  record.exec_mode = static_cast<uint8_t>(mode);
+  obs::Span total = tracer_->StartTotal(&record);
   auto finish = [&](util::Result<std::vector<KnnResultEntry>> result) {
     total.Stop();
-    if (trace != nullptr) {
-      st->query_id = record.query_id;
-      record.ok = result.ok();
-      record.results =
-          result.ok() ? static_cast<uint32_t>(result->size()) : 0;
-      record.cpu_fallback = st->cpu_fallback;
-      record.cells_examined = st->cells_examined;
-      tracer_->FinishQuery(std::move(record));
-    }
+    st->query_id = record.query_id;
+    record.ok = result.ok();
+    record.results = result.ok() ? static_cast<uint32_t>(result->size()) : 0;
+    record.cpu_fallback = st->cpu_fallback;
+    record.cells_examined = st->cells_examined;
+    tracer_->FinishQuery(std::move(record));
     return result;
   };
   // One attempt on `device` (null: the CPU-only path), on a fresh answer.
@@ -242,22 +236,21 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Run(
 
   if (mode == ExecMode::kCpuOnly) {
     ++counters_.cpu_queries;
-    return finish(attempt(nullptr, 0, trace));
+    return finish(attempt(nullptr, 0, &record));
   }
-  // One GPU attempt: lease a device from the scheduler (or pin to the
-  // construction-time device without one), run the pipeline there, and
-  // feed the outcome back into the scheduler's health tracking. The lease
-  // spans only the attempt — a stream slot, not a query-lifetime claim.
+  // One GPU attempt: lease a device from the scheduler, run the pipeline
+  // there, and feed the outcome back into the scheduler's health tracking.
+  // The lease spans only the attempt — a stream slot, not a query-lifetime
+  // claim.
   uint32_t last_device = 0;
   auto gpu_attempt =
       [&](bool avoid_last) -> util::Result<std::vector<KnnResultEntry>> {
-    if (scheduler_ == nullptr) return attempt(device_, 0, trace);
     gpusim::Scheduler::Lease sched_lease =
         avoid_last ? scheduler_->AcquireAvoiding(last_device)
                    : scheduler_->Acquire();
     last_device = sched_lease.device_index();
     util::Result<std::vector<KnnResultEntry>> r =
-        attempt(sched_lease.device(), sched_lease.device_index(), trace);
+        attempt(sched_lease.device(), sched_lease.device_index(), &record);
     scheduler_->ReportResult(sched_lease.device_index(),
                              !r.ok() && gpusim::IsDeviceError(r.status()));
     return r;
@@ -269,9 +262,8 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Run(
   // CPU re-run.
   if (!result.ok() && gpusim::IsDeviceError(result.status())) {
     ++counters_.gpu_failures;
-    if (trace != nullptr) ++record.fault_events;
-    if (mode == ExecMode::kAuto && scheduler_ != nullptr &&
-        scheduler_->num_devices() > 1) {
+    ++record.fault_events;
+    if (mode == ExecMode::kAuto && scheduler_->num_devices() > 1) {
       // Migrate once: re-run on a different device of the set before
       // surrendering the query to the CPU path. One failed fault domain
       // then costs a retry, not the GPU acceleration.
@@ -280,7 +272,7 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Run(
         ++counters_.migrated_queries;
       } else if (gpusim::IsDeviceError(result.status())) {
         ++counters_.gpu_failures;
-        if (trace != nullptr) ++record.fault_events;
+        ++record.fault_events;
       }
     }
     if (!result.ok() && gpusim::IsDeviceError(result.status()) &&
@@ -288,7 +280,7 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Run(
       ++counters_.fallback_queries;
       // The re-run traces as one kFallback phase; its inner phases get a
       // null record so the fallback span alone accounts for the time.
-      obs::Span fallback = PhaseSpan(trace, obs::Phase::kFallback);
+      obs::Span fallback = tracer_->StartSpan(&record, obs::Phase::kFallback);
       result = attempt(nullptr, 0, nullptr);
       fallback.Stop();
     }
@@ -322,8 +314,8 @@ util::Status KnnEngine::RunPipeline(gpusim::Device* device,
   // candidates; a range query and the CPU path clean the initial region
   // only (everything beyond it is reached by the refinement).
   CellRegion& region = ws.region;
-  obs::Span expand_span = PhaseSpan(on_gpu ? trace : nullptr,
-                                    obs::Phase::kExpand);
+  obs::Span expand_span =
+      tracer_->StartSpan(on_gpu ? trace : nullptr, obs::Phase::kExpand);
   region.AddInitial(*grid_, location.edge);
   expand_span.Stop();
   GKNN_RETURN_NOT_OK(CheckBudget(control, "expand"));
@@ -337,7 +329,7 @@ util::Status KnnEngine::RunPipeline(gpusim::Device* device,
     const std::span<const CellId> to_clean(region.cells().data() + clean_from,
                                            region.size() - clean_from);
     clean_from = region.size();
-    obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
+    obs::Span clean_span = tracer_->StartSpan(trace, obs::Phase::kClean);
     GKNN_ASSIGN_OR_RETURN(
         MessageCleaner::Outcome outcome,
         on_gpu ? cleaner_->Clean(to_clean, t_now, arena_, lists_,
@@ -364,7 +356,7 @@ util::Status KnnEngine::RunPipeline(gpusim::Device* device,
     if (static_cast<double>(candidates.size()) >= rho_k) break;
     // Expand one ring: neighbors(L) \ L. Only the previous ring can
     // contribute new neighbors.
-    obs::Span ring_span = PhaseSpan(trace, obs::Phase::kExpand);
+    obs::Span ring_span = tracer_->StartSpan(trace, obs::Phase::kExpand);
     if (!region.AddRing(*grid_, ring_from)) break;  // whole grid covered
     ++st.expansion_rounds;
   }
@@ -379,7 +371,7 @@ util::Status KnnEngine::RunPipeline(gpusim::Device* device,
   std::span<const Distance> sdist;
   if (on_gpu) {
     // ---- Step 2a (Alg. 5): GPU_SDist over the candidate cells' vertices -
-    obs::Span sdist_span = PhaseSpan(trace, obs::Phase::kSdist);
+    obs::Span sdist_span = tracer_->StartSpan(trace, obs::Phase::kSdist);
     std::vector<VertexId> region_vertices;
     for (CellId c : region.cells()) {
       grid_->AppendCellVertices(c, &region_vertices);
@@ -453,7 +445,7 @@ util::Status KnnEngine::RunPipeline(gpusim::Device* device,
     GKNN_RETURN_NOT_OK(CheckBudget(control, "sdist"));
 
     // ---- Step 2b: candidate distances; GPU_First_k selects kNN's k -----
-    obs::Span topk_span = PhaseSpan(trace, obs::Phase::kTopk);
+    obs::Span topk_span = tracer_->StartSpan(trace, obs::Phase::kTopk);
     if (answer.is_knn() && !candidates.empty()) {
       // Per-candidate distance entries, computed and selected on the
       // device. Ties break by object id before buffer position, so the
@@ -524,7 +516,8 @@ util::Status KnnEngine::RunPipeline(gpusim::Device* device,
     GKNN_RETURN_NOT_OK(CheckBudget(control, "topk"));
 
     // ---- Step 2c: GPU_Unresolved — boundary vertices below the bound ---
-    obs::Span unresolved_span = PhaseSpan(trace, obs::Phase::kUnresolved);
+    obs::Span unresolved_span =
+        tracer_->StartSpan(trace, obs::Phase::kUnresolved);
     const Distance bound = answer.threshold();
     if (answer.is_knn()) {
       // Stream compaction on the device: flag kernel -> exclusive scan ->
@@ -593,7 +586,7 @@ util::Status KnnEngine::RunPipeline(gpusim::Device* device,
   }
 
   // ---- Step 3 (Alg. 6): Refine_kNN on the host ---------------------------
-  obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
+  obs::Span refine_span = tracer_->StartSpan(trace, obs::Phase::kRefine);
   if (!on_gpu) {
     // The CPU path's candidate step: objects ahead of the query on its own
     // edge, whose direct route does not pass through the seed.

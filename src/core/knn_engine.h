@@ -116,9 +116,15 @@ struct EngineCounters {
 /// atomic counters and the tracer.
 class KnnEngine {
  public:
-  KnnEngine(gpusim::Device* device, const GraphGrid* grid,
-            MessageCleaner* cleaner, BucketArena* arena,
-            std::vector<MessageList>* lists, const ObjectTable* object_table,
+  /// Each GPU-path attempt leases a device from `scheduler`, and a device
+  /// error under kAuto first migrates once to a different device of the
+  /// set before falling back to the CPU path. Every Query/QueryRange emits
+  /// a QueryTraceRecord with per-phase spans into `tracer`. Neither is
+  /// owned; both must outlive the engine.
+  KnnEngine(gpusim::Scheduler* scheduler, obs::Tracer* tracer,
+            const GraphGrid* grid, MessageCleaner* cleaner,
+            BucketArena* arena, std::vector<MessageList>* lists,
+            const ObjectTable* object_table,
             const EdgeObjectMap* objects_on_edge, const GGridOptions* options);
 
   /// Answers one snapshot kNN query at time `t_now`. Returns up to k
@@ -142,20 +148,6 @@ class KnnEngine {
       const QueryControl* control = nullptr);
 
   const EngineCounters& counters() const { return counters_; }
-
-  /// Attaches the multi-device scheduler: each GPU-path query then leases
-  /// a device per attempt instead of pinning to the construction-time
-  /// device, and a device error under kAuto first migrates once to a
-  /// different device before falling back to the CPU path. Null (the
-  /// default) keeps every query on the construction-time device. Not
-  /// thread-safe against in-flight queries; set it during setup.
-  void set_scheduler(gpusim::Scheduler* scheduler) { scheduler_ = scheduler; }
-
-  /// Attaches the observability tracer: every Query/QueryRange then emits
-  /// a QueryTraceRecord with per-phase spans. Null (the default) disables
-  /// tracing entirely — the query path takes no clock reads. Not
-  /// thread-safe against in-flight queries; set it during setup.
-  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
   /// Everything one in-flight query mutates on the host: the candidate
@@ -206,15 +198,6 @@ class KnnEngine {
   /// The answer one attempt accumulates (defined in knn_engine.cc).
   class Answer;
 
-  /// A span over `phase` charging into `trace`; a no-op span when the
-  /// engine has no tracer or the caller passed no record (the kAuto
-  /// fallback re-run passes null so its inner phases are not double
-  /// counted under the kFallback span).
-  obs::Span PhaseSpan(obs::QueryTraceRecord* trace, obs::Phase phase) const {
-    if (tracer_ == nullptr || trace == nullptr) return obs::Span{};
-    return tracer_->StartSpan(trace, phase);
-  }
-
   /// The driver of both query kinds: validates, leases a workspace, opens
   /// the trace record, and runs attempts of the pipeline — the GPU attempt
   /// on a scheduler-leased device, the migrate-once retry, the kAuto CPU
@@ -229,18 +212,16 @@ class KnnEngine {
   /// GPU_First_k and GPU_Unresolved, then Refine_kNN on the host. A null
   /// `device` is the exact CPU-only path: host cleaning, then the same
   /// refinement seeded at the query edge's target with no SDist region.
-  /// Any device error aborts the attempt and propagates.
+  /// Any device error aborts the attempt and propagates. Phase spans
+  /// charge into `trace`; the kAuto fallback re-run passes null so its
+  /// inner phases are not double counted under the kFallback span.
   util::Status RunPipeline(gpusim::Device* device, uint32_t device_index,
                            roadnet::EdgePoint location, double t_now,
                            Answer& answer, KnnStats& st,
                            obs::QueryTraceRecord* trace, QueryWorkspace& ws,
                            const QueryControl* control);
 
-  /// Construction-time device; every query runs here when no scheduler is
-  /// attached (single-device builds), and it seeds device_index 0.
-  gpusim::Device* device_;
-  /// Optional multi-device placement (see set_scheduler). Not owned.
-  gpusim::Scheduler* scheduler_ = nullptr;
+  gpusim::Scheduler* scheduler_;
   const GraphGrid* grid_;
   MessageCleaner* cleaner_;
   BucketArena* arena_;
@@ -255,7 +236,7 @@ class KnnEngine {
 
   EngineCounters counters_;
 
-  obs::Tracer* tracer_ = nullptr;
+  obs::Tracer* tracer_;
 };
 
 }  // namespace gknn::core

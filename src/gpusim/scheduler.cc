@@ -7,7 +7,6 @@ namespace gknn::gpusim {
 Scheduler::Scheduler(DeviceSet* devices, SchedulerOptions options)
     : devices_(devices), options_(options), states_(devices->size()) {
   GKNN_CHECK(devices_ != nullptr);
-  if (options_.streams_per_device == 0) options_.streams_per_device = 1;
   if (options_.failure_threshold == 0) options_.failure_threshold = 1;
   if (options_.probe_interval == 0) options_.probe_interval = 1;
 }

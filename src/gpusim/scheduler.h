@@ -12,12 +12,6 @@ namespace gknn::gpusim {
 
 /// Placement policy knobs (docs/GPU_SIMULATION.md "Multi-device").
 struct SchedulerOptions {
-  /// Soft per-device concurrency target: the modeled analogue of the
-  /// number of overlapping streams one device sustains. Acquire never
-  /// blocks — when every device is at capacity the least-loaded one is
-  /// oversubscribed (extra leases just queue on the device's modeled
-  /// timeline, like extra streams on a real GPU).
-  uint32_t streams_per_device = 4;
   /// Consecutive device errors that mark a device unhealthy; the
   /// scheduler then routes around it (its fault domain is considered
   /// down) until a probe succeeds.

@@ -61,32 +61,21 @@ util::Status QueryServer::DrainExclusive() {
       util::lockdep::MutexLock lock(inbox.mutex);
       batch.swap(inbox.entries);
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Inbox::Entry& e = batch[i];
+    for (const Inbox::Entry& e : batch) {
       const util::Status applied =
           e.remove ? index_->Remove(e.object, e.time)
                    : index_->Ingest(e.object, e.position, e.time);
       if (applied.ok()) continue;
-      if (!gpusim::IsDeviceError(applied)) {
-        // Permanent error (a position off the network): drop the poison
-        // entry and keep draining — one bad producer must not wedge the
-        // whole inbox. First such error is reported to the caller.
-        GKNN_LOG(Warning) << "dropping bad update for object " << e.object
-                          << ": " << applied.ToString();
-        if (first_error.ok()) first_error = applied;
-        continue;
-      }
-      // Transient device error: re-queue the failed entry and the rest of
-      // its batch at the *front* of the stripe (per-object FIFO order is
-      // preserved) and move on; the next drain retries them.
-      {
-        util::lockdep::MutexLock lock(inbox.mutex);
-        inbox.entries.insert(inbox.entries.begin(), batch.begin() + i,
-                             batch.end());
-      }
-      ++stats_.update_requeues;
+      // Ingest and Remove fail only on a position off the network: under
+      // eager_updates a device error in their clean falls back to the
+      // host pass, which cannot fail. So every error is a bad update.
+      GKNN_DCHECK(!gpusim::IsDeviceError(applied));
+      // Drop the poison entry and keep draining — one bad producer must
+      // not wedge the whole inbox. The first such error is reported to
+      // the caller.
+      GKNN_LOG(Warning) << "dropping bad update for object " << e.object
+                        << ": " << applied.ToString();
       if (first_error.ok()) first_error = applied;
-      break;
     }
   }
   return first_error;
@@ -361,8 +350,6 @@ void QueryServer::FoldServerMetricsExclusive() {
       static_cast<double>(snapshot.breaker_trips));
   set("gknn_server_breaker_closes",
       static_cast<double>(snapshot.breaker_closes));
-  set("gknn_server_update_requeues",
-      static_cast<double>(snapshot.update_requeues));
   set("gknn_server_degraded", snapshot.degraded ? 1.0 : 0.0);
   set("gknn_server_pending_updates",
       static_cast<double>(pending_updates()));

@@ -77,9 +77,9 @@ struct ServerOptions {
 /// Degradation counters; snapshot via QueryServer::stats().
 ///
 /// Consistency contract under concurrent queries: the monotonic counters
-/// (gpu_failures, retries, fallback_queries, degraded_queries,
-/// update_requeues) are independent relaxed atomics — each is exact, but
-/// one snapshot may catch them mid-query relative to each other. The
+/// (gpu_failures, retries, fallback_queries, degraded_queries) are
+/// independent relaxed atomics — each is exact, but one snapshot may
+/// catch them mid-query relative to each other. The
 /// breaker triple (breaker_trips, breaker_closes, degraded) is published
 /// through a seqlock, so within one snapshot it is mutually consistent
 /// and satisfies `degraded == (breaker_trips > breaker_closes)`.
@@ -90,7 +90,6 @@ struct ServerStats {
   uint64_t degraded_queries = 0;  // queries served while the breaker was open
   uint64_t breaker_trips = 0;
   uint64_t breaker_closes = 0;
-  uint64_t update_requeues = 0;   // drain batches re-queued on device errors
   bool degraded = false;          // breaker currently open
   // Overload-control accounting (docs/ROBUSTNESS.md). Every query the
   // server accepts ends in exactly one bucket: admitted (and then OK or
@@ -231,8 +230,6 @@ class QueryServer {
         stats_.fallback_queries.load(std::memory_order_relaxed);
     out.degraded_queries =
         stats_.degraded_queries.load(std::memory_order_relaxed);
-    out.update_requeues =
-        stats_.update_requeues.load(std::memory_order_relaxed);
     out.admitted_queries =
         stats_.admitted_queries.load(std::memory_order_relaxed);
     out.shed_queries = stats_.shed_queries.load(std::memory_order_relaxed);
@@ -309,11 +306,9 @@ class QueryServer {
   }
 
   /// Moves every buffered update into the index; requires the writer lock
-  /// on index_mutex_. A transient device error re-queues the unapplied
-  /// remainder of the stripe at its front (order preserved) and keeps
-  /// draining the other stripes; a permanent error (bad position) drops
-  /// the poison entry, keeps draining, and is returned — a bad producer
-  /// must not wedge the inbox.
+  /// on index_mutex_. The only error is a bad position: the drain drops
+  /// the poison entry, keeps draining, and returns the first such error —
+  /// a bad producer must not wedge the inbox.
   util::Status DrainExclusive();
 
   /// DrainExclusive wrapped in a gknn_server_drain_seconds observation.
@@ -378,7 +373,6 @@ class QueryServer {
     std::atomic<uint64_t> degraded_queries{0};
     std::atomic<uint64_t> breaker_trips{0};
     std::atomic<uint64_t> breaker_closes{0};
-    std::atomic<uint64_t> update_requeues{0};
     std::atomic<bool> degraded{false};
     std::atomic<uint64_t> admitted_queries{0};
     std::atomic<uint64_t> shed_queries{0};

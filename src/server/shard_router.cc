@@ -1,7 +1,6 @@
 #include "server/shard_router.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <string>
 #include <unordered_set>
@@ -33,7 +32,6 @@ ShardRouter::ShardRouter(const roadnet::Graph* graph,
                          const ShardRouterOptions& options)
     : graph_(graph),
       options_(options),
-      shard_objects_(options.num_shards),
       query_pool_(options.server.query_threads == 0
                       ? std::make_unique<util::ThreadPool>(
                             util::ThreadPool::Inline{})
@@ -53,9 +51,6 @@ util::Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     const ShardRouterOptions& router_options) {
   if (router_options.num_shards == 0) {
     return util::Status::InvalidArgument("num_shards must be positive");
-  }
-  if (router_options.fanout_rho < 1.0) {
-    return util::Status::InvalidArgument("fanout_rho must be >= 1");
   }
   std::unique_ptr<ShardRouter> router(
       new ShardRouter(graph, router_options));
@@ -95,24 +90,6 @@ util::Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
       roadnet::AssignCellsToShards(router->grid_->partition(),
                                    router_options.num_shards));
 
-  // Shard adjacency from the grid's cell neighborhoods (sorted, deduped).
-  router->shard_neighbors_.assign(router_options.num_shards, {});
-  const uint32_t num_cells = router->grid_->num_cells();
-  std::vector<std::unordered_set<uint32_t>> adjacent(
-      router_options.num_shards);
-  for (core::CellId c = 0; c < num_cells; ++c) {
-    const uint32_t sc = router->cell_to_shard_[c];
-    for (core::CellId n : router->grid_->NeighborCells(c)) {
-      const uint32_t sn = router->cell_to_shard_[n];
-      if (sn != sc) adjacent[sc].insert(sn);
-    }
-  }
-  for (uint32_t s = 0; s < router_options.num_shards; ++s) {
-    router->shard_neighbors_[s].assign(adjacent[s].begin(),
-                                       adjacent[s].end());
-    std::sort(router->shard_neighbors_[s].begin(),
-              router->shard_neighbors_[s].end());
-  }
   return router;
 }
 
@@ -140,14 +117,11 @@ void ShardRouter::Report(core::ObjectId object, roadnet::EdgePoint position,
   const uint32_t target = cell_to_shard_[grid_->CellOfEdge(position.edge)];
   if (it == stripe.shard_of.end()) {
     stripe.shard_of.emplace(object, target);
-    shard_objects_[target].fetch_add(1, std::memory_order_relaxed);
   } else if (it->second != target) {
     // Cross-shard move: the old shard gets the departure, the new one the
     // report, both under this stripe lock so no query can observe the
     // object in two shards or in none via the routing table.
     shards_[it->second]->Deregister(object, time);
-    shard_objects_[it->second].fetch_sub(1, std::memory_order_relaxed);
-    shard_objects_[target].fetch_add(1, std::memory_order_relaxed);
     it->second = target;
     stats_.cross_shard_moves.fetch_add(1, std::memory_order_relaxed);
   }
@@ -165,38 +139,7 @@ void ShardRouter::Deregister(core::ObjectId object, double time) {
     return;
   }
   shards_[it->second]->Deregister(object, time);
-  shard_objects_[it->second].fetch_sub(1, std::memory_order_relaxed);
   stripe.shard_of.erase(it);
-}
-
-std::vector<uint32_t> ShardRouter::SelectShards(uint32_t home,
-                                                uint32_t k) const {
-  const uint64_t target = std::max<uint64_t>(
-      k, static_cast<uint64_t>(std::ceil(options_.fanout_rho * k)));
-  std::vector<uint32_t> selected{home};
-  std::vector<uint8_t> in(num_shards(), 0);
-  in[home] = 1;
-  uint64_t covered = shard_objects_[home].load(std::memory_order_relaxed);
-  std::vector<uint32_t> frontier{home};
-  // gknn-check: allow(deadline-checkpoint): BFS over the shard topology
-  // visits each of the (few, fixed) shards at most once via `in`; it
-  // terminates in at most num_shards() iterations with no device work.
-  while (covered < target && !frontier.empty()) {
-    std::vector<uint32_t> next;
-    for (uint32_t s : frontier) {
-      for (uint32_t n : shard_neighbors_[s]) {
-        if (in[n]) continue;
-        in[n] = 1;
-        selected.push_back(n);
-        next.push_back(n);
-        covered += shard_objects_[n].load(std::memory_order_relaxed);
-        if (covered >= target) break;
-      }
-      if (covered >= target) break;
-    }
-    frontier = std::move(next);
-  }
-  return selected;
 }
 
 std::vector<core::KnnResultEntry> ShardRouter::MergeTopK(
@@ -255,53 +198,36 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
 
   // An invalid location or k is forwarded to one shard unrouted so the
   // caller sees exactly the typed validation error a single-engine server
-  // returns (the selection below needs a valid edge for CellOfEdge).
+  // returns (routing needs a valid edge for CellOfEdge).
   if (k == 0 || location.edge >= graph_->num_edges() ||
       location.offset > graph_->edge(location.edge).weight) {
     return finish(
         shards_[0]->QueryKnnRouted(location, k, t_now, deadline, pressure));
   }
 
-  // Phase 1: fan out to the shards the candidate ring plausibly touches.
-  const uint32_t home = cell_to_shard_[grid_->CellOfEdge(location.edge)];
-  std::vector<uint32_t> selected = SelectShards(home, k);
-  std::vector<uint8_t> queried(num_shards(), 0);
-
-  // Phase 2: per-shard top-k, merged in the engine's (distance, object)
-  // order. The home shard is queried first — it owns the query's own
-  // edge, whose objects are the one case the vertex-distance bound of
-  // phase 3 does not cover.
+  // The home shard answers first: it owns the query's own edge, whose
+  // objects are the one case the vertex-distance bound below does not
+  // cover.
+  const uint32_t home = ShardOfPoint(location);
+  auto home_result =
+      shards_[home]->QueryKnnRouted(location, k, t_now, deadline, pressure);
+  if (!home_result.ok()) return finish(home_result.status());
+  stats_.fanout_shards.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::vector<core::KnnResultEntry>> per_shard;
-  per_shard.reserve(selected.size());
-  for (uint32_t s : selected) {
-    auto result =
-        shards_[s]->QueryKnnRouted(location, k, t_now, deadline, pressure);
-    if (!result.ok()) return finish(result.status());
-    per_shard.push_back(std::move(result).ValueOrDie());
-    queried[s] = 1;
-  }
-  stats_.fanout_shards.fetch_add(selected.size(),
-                                 std::memory_order_relaxed);
-  std::vector<core::KnnResultEntry> merged = MergeTopK(per_shard, k);
+  per_shard.push_back(std::move(home_result).ValueOrDie());
 
-  // Phase 3: cross-border refinement. With D the merged kth distance,
-  // any object homed in an unqueried shard sits at distance
-  // >= dist(q, source(its edge)), and that source vertex belongs to the
-  // shard; so a shard none of whose vertices is within D cannot hold a
-  // competitor, and one refinement round is exact (D only shrinks).
-  if (selected.size() < num_shards()) {
-    const bool have_bound = merged.size() >= k;
-    const roadnet::Distance bound =
-        have_bound ? merged.back().distance : roadnet::kInfiniteDistance;
-    std::vector<uint32_t> extra;
-    if (!have_bound) {
-      // Fewer than k merged results: no exclusion bound exists; the
-      // remaining shards must all be asked.
-      for (uint32_t s = 0; s < num_shards(); ++s) {
-        if (!queried[s]) extra.push_back(s);
-      }
-    } else {
-      std::vector<uint8_t> reachable(num_shards(), 0);
+  // With D the home shard's kth distance, an object homed in another shard
+  // sits at distance >= dist(q, source(its edge)), and that source vertex
+  // belongs to its shard; so a shard none of whose vertices is within D
+  // holds no competitor, and this one round is exact. With fewer than k
+  // home results there is no bound and every other shard is asked.
+  const bool have_bound = per_shard[0].size() >= k;
+  const roadnet::Distance bound = have_bound ? per_shard[0][k - 1].distance
+                                             : roadnet::kInfiniteDistance;
+  std::vector<uint32_t> others;
+  if (num_shards() > 1) {
+    std::vector<uint8_t> within(num_shards(), have_bound ? 0 : 1);
+    if (have_bound) {
       bool expired = false;
       {
         util::ObjectPool<roadnet::BoundedDijkstra>::Lease search =
@@ -309,7 +235,7 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
         search->set_deadline(&deadline);
         search->RunFromPoint(
             location, bound, [&](roadnet::VertexId v, roadnet::Distance) {
-              reachable[cell_to_shard_[grid_->CellOfVertex(v)]] = 1;
+              within[cell_to_shard_[grid_->CellOfVertex(v)]] = 1;
             });
         expired = search->cancelled();
         // The deadline belongs to this query; it must not survive into
@@ -317,40 +243,34 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
         search->set_deadline(nullptr);
       }
       if (expired) {
-        return util::Status::DeadlineExceeded(
-            "route: query budget exhausted during border refinement");
-      }
-      for (uint32_t s = 0; s < num_shards(); ++s) {
-        if (!queried[s] && reachable[s]) extra.push_back(s);
+        return finish(util::Status::DeadlineExceeded(
+            "route: query budget exhausted during border refinement"));
       }
     }
-    if (!extra.empty()) {
-      stats_.border_refinements.fetch_add(1, std::memory_order_relaxed);
-      stats_.refine_shards.fetch_add(extra.size(),
-                                     std::memory_order_relaxed);
-      for (uint32_t s : extra) {
-        // With a bound, a range probe of radius D (inclusive, so ties at
-        // D still merge and lose or win on the object-id tie-break) costs
-        // the border ring it touches; full kNN on a sparse remote region
-        // would expand far past it. Without a bound the full kNN stands.
-        auto result =
-            have_bound
-                ? shards_[s]->QueryRangeRouted(location, bound, t_now,
-                                               deadline, pressure)
-                : shards_[s]->QueryKnnRouted(location, k, t_now, deadline,
-                                             pressure);
-        if (!result.ok()) return finish(result.status());
-        per_shard.push_back(std::move(result).ValueOrDie());
-        queried[s] = 1;
-        selected.push_back(s);
-      }
-      merged = MergeTopK(per_shard, k);
+    for (uint32_t s = 0; s < num_shards(); ++s) {
+      if (s != home && within[s]) others.push_back(s);
     }
   }
-  if (selected.size() == num_shards()) {
+  if (!others.empty()) {
+    stats_.border_refinements.fetch_add(1, std::memory_order_relaxed);
+    stats_.refine_shards.fetch_add(others.size(), std::memory_order_relaxed);
+  }
+  for (uint32_t s : others) {
+    // With a bound, a range probe of radius D (inclusive, so ties at D
+    // still merge and lose or win on the object-id tie-break) costs the
+    // border ring it touches; full kNN on a sparse remote region would
+    // expand far past it. Without a bound the full kNN stands.
+    auto result = have_bound ? shards_[s]->QueryRangeRouted(
+                                   location, bound, t_now, deadline, pressure)
+                             : shards_[s]->QueryKnnRouted(location, k, t_now,
+                                                          deadline, pressure);
+    if (!result.ok()) return finish(result.status());
+    per_shard.push_back(std::move(result).ValueOrDie());
+  }
+  if (per_shard.size() == num_shards()) {
     stats_.full_fanouts.fetch_add(1, std::memory_order_relaxed);
   }
-  return finish(std::move(merged));
+  return finish(MergeTopK(per_shard, k));
 }
 
 util::Result<std::vector<std::vector<core::KnnResultEntry>>>
@@ -397,7 +317,6 @@ ServerStats ShardRouter::AggregateStats() const {
     total.degraded_queries += s.degraded_queries;
     total.breaker_trips += s.breaker_trips;
     total.breaker_closes += s.breaker_closes;
-    total.update_requeues += s.update_requeues;
     total.degraded = total.degraded || s.degraded;
     total.admitted_queries += s.admitted_queries;
     total.shed_queries += s.shed_queries;

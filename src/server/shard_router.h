@@ -47,12 +47,6 @@ struct ShardRouterOptions {
   /// GGridIndex::Build's multi-device form). Composes with num_shards —
   /// the process models num_shards * devices_per_shard GPUs in total.
   uint32_t devices_per_shard = 1;
-  /// Fan-out target: phase 1 selects shards around the query's home shard
-  /// until they hold at least max(k, fanout_rho * k) objects (by the
-  /// router's approximate per-shard counts). Purely a performance
-  /// heuristic — phase 3's cross-border refinement restores exactness
-  /// whatever this picks.
-  double fanout_rho = 2.0;
 };
 
 /// Router-level counters; every field is cumulative. The overload
@@ -65,9 +59,9 @@ struct RouterStats {
   uint64_t shed_queries = 0;       // rejected: router admission queue full
   uint64_t expired_queries = 0;    // returned DeadlineExceeded
   uint64_t brownout_queries = 0;   // executed under brownout pressure
-  uint64_t fanout_shards = 0;      // shard queries issued in phase 2
-  uint64_t refine_shards = 0;      // extra shard queries from phase 3
-  uint64_t border_refinements = 0; // queries that needed a phase-3 pass
+  uint64_t fanout_shards = 0;      // home-shard queries (one per query)
+  uint64_t refine_shards = 0;      // queries to shards other than home
+  uint64_t border_refinements = 0; // queries that asked a non-home shard
   uint64_t full_fanouts = 0;       // queries that touched every shard
   uint64_t routed_updates = 0;     // Report/Deregister calls routed
   uint64_t cross_shard_moves = 0;  // updates that moved an object's shard
@@ -86,21 +80,21 @@ struct RouterStats {
 /// to the new one atomically per object (stripe lock, rank 150, above the
 /// shard inbox rank 200 in the lock order).
 ///
-/// Queries run an exact three-phase protocol:
-///  1. fan-out selection: starting from the query's home shard, grow over
-///     the shard-adjacency graph until the selected shards hold enough
-///     objects (fanout_rho);
-///  2. per-shard top-k (QueryServer::QueryKnnRouted threads the router's
-///     deadline and brownout pressure into each shard) merged by the
-///     engine's (distance, object) order with per-object dedup;
-///  3. cross-border refinement: with D the merged kth distance, a bounded
-///     Dijkstra from the query point (the same machinery Refine_kNN uses
-///     for unresolved boundary ranges) finds every unqueried shard owning
-///     a vertex within D; those shards are queried and merged once more.
-///     Any object in a shard none of whose vertices is within D sits at
-///     network distance > D and cannot displace the merged top-k, so one
-///     round is exact — bit-for-bit identical to a single-engine server
-///     (proven by tests/test_shard_differential.cc).
+/// Queries run one exact, bound-driven round:
+///  1. the home shard (owner of the query's edge) answers its top-k
+///     (QueryServer::QueryKnnRouted threads the router's deadline and
+///     brownout pressure into each shard);
+///  2. with D its kth distance, a bounded Dijkstra from the query point
+///     (the same machinery Refine_kNN uses for unresolved boundary
+///     ranges) finds every other shard owning a vertex within D, and each
+///     answers a range query of radius D; with fewer than k home results
+///     there is no bound and every other shard answers its top-k;
+///  3. one merge in the engine's (distance, object) order with per-object
+///     dedup.
+/// Any object in a shard none of whose vertices is within D sits at
+/// network distance > D and cannot displace the home top-k, so the round
+/// is exact — bit-for-bit identical to a single-engine server (proven by
+/// tests/test_shard_differential.cc).
 ///
 /// Thread-safety mirrors QueryServer: Report/Deregister from any thread;
 /// QueryKnn/QueryKnnBatch from any thread concurrently.
@@ -128,12 +122,12 @@ class ShardRouter {
   /// single-engine server).
   void Deregister(core::ObjectId object, double time);
 
-  /// Answers a snapshot kNN query exactly (three-phase protocol above).
+  /// Answers a snapshot kNN query exactly (one round, above).
   util::Result<std::vector<core::KnnResultEntry>> QueryKnn(
       roadnet::EdgePoint location, uint32_t k, double t_now);
 
   /// Fans a batch over the router's pool; each task is a full logical
-  /// query (router admission, budget, three phases). First error fails
+  /// query (router admission, budget, one round). First error fails
   /// the batch, matching QueryServer::QueryKnnBatch.
   util::Result<std::vector<std::vector<core::KnnResultEntry>>> QueryKnnBatch(
       std::span<const roadnet::EdgePoint> locations, uint32_t k,
@@ -222,15 +216,12 @@ class ShardRouter {
     return stripes_[object % kStripes];
   }
 
-  /// The full logical-query path (admission + three phases) under an
+  /// The full logical-query path (admission + the round) under an
   /// explicit budget; QueryKnn passes the default budget and the batch
   /// fan-out passes its shared one.
   util::Result<std::vector<core::KnnResultEntry>> QueryKnnInternal(
       roadnet::EdgePoint location, uint32_t k, double t_now,
       const util::Deadline& deadline);
-
-  /// Phase 1: the ordered shard fan-out for a query homed in `home`.
-  std::vector<uint32_t> SelectShards(uint32_t home, uint32_t k) const;
 
   void FoldRouterMetrics();
 
@@ -240,13 +231,6 @@ class ShardRouter {
   std::vector<std::unique_ptr<QueryServer>> shards_;
   std::shared_ptr<const core::GraphGrid> grid_;  // shared by every shard
   std::vector<uint32_t> cell_to_shard_;
-  /// Shard-adjacency lists (sorted, deduplicated): s' is adjacent to s
-  /// when some cell of s borders a cell of s' in the grid's neighborhood
-  /// relation. Built once; phase 1 grows its fan-out over this graph.
-  std::vector<std::vector<uint32_t>> shard_neighbors_;
-  /// Approximate live-object count per shard, maintained by the routing
-  /// step (heuristic input to phase 1 only — never a correctness input).
-  std::vector<std::atomic<uint64_t>> shard_objects_;
 
   Stripe stripes_[kStripes];
   std::unique_ptr<util::ThreadPool> query_pool_;
@@ -256,7 +240,7 @@ class ShardRouter {
   /// query, whatever number of shards it fans out to.
   AdmissionGate gate_;
 
-  /// Phase-3 refinement searches. Instances are not thread-safe, so
+  /// Border searches up to D. Instances are not thread-safe, so
   /// concurrent refiners each lease their own; the epoch-stamped search
   /// makes a recycled one O(settled), not O(|V|).
   util::ObjectPool<roadnet::BoundedDijkstra> searches_;

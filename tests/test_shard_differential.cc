@@ -7,8 +7,8 @@
 // single-threaded, and exact against a brute-force oracle.
 //
 // The matrix covers shard counts {1, 2, 4, 8} x three trace seeds, so the
-// three-phase protocol is exercised with no border at all (N=1), a single
-// border, and borders most queries' rings straddle (N=8 on a small
+// router's one-round protocol is exercised with no border at all (N=1), a
+// single border, and borders most queries' rings straddle (N=8 on a small
 // graph). This binary is part of the TSan CI shard and FAULT_TOLERANT:
 // the fault matrix replays it under device-error storms hitting every
 // shard at once.

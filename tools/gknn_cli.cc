@@ -139,7 +139,7 @@ void PrintStats(gknn::server::QueryServer& server) {
       "device: kernels=%llu modeled_gpu=%.3f ms h2d=%llu B d2h=%llu B\n"
       "robustness: degraded=%d gpu_failures=%llu retries=%llu "
       "fallback_queries=%llu degraded_queries=%llu breaker_trips=%llu "
-      "breaker_closes=%llu update_requeues=%llu clean_fallbacks=%llu\n"
+      "breaker_closes=%llu clean_fallbacks=%llu\n"
       "overload: admitted=%llu shed=%llu expired=%llu brownout=%llu "
       "inflight=%u queue_depth=%u\n"
       "faults: spec='%s' checks=%llu injected=%llu\n",
@@ -162,7 +162,6 @@ void PrintStats(gknn::server::QueryServer& server) {
       static_cast<unsigned long long>(server_stats.degraded_queries),
       static_cast<unsigned long long>(server_stats.breaker_trips),
       static_cast<unsigned long long>(server_stats.breaker_closes),
-      static_cast<unsigned long long>(server_stats.update_requeues),
       static_cast<unsigned long long>(counters.clean_fallbacks),
       static_cast<unsigned long long>(server_stats.admitted_queries),
       static_cast<unsigned long long>(server_stats.shed_queries),
@@ -196,7 +195,7 @@ void PrintRouterStats(gknn::server::ShardRouter& router) {
   std::printf(
       "router: shards=%u queries=%llu admitted=%llu shed=%llu "
       "expired=%llu brownout=%llu\n"
-      "fanout: phase2_shards=%llu refine_shards=%llu "
+      "fanout: home_shards=%llu refine_shards=%llu "
       "border_refinements=%llu full_fanouts=%llu\n"
       "routing: updates=%llu cross_shard_moves=%llu pending=%llu "
       "applied=%llu\n"
